@@ -108,11 +108,10 @@ class DiagProcessor
     /**
      * Attach (or detach with nullptr) a skip-idle self-profile
      * (obs::SimProfile, DESIGN.md §16): every ring tallies fast-path
-     * coverage — batched vs densely stepped activations, extrapolated
-     * iterations, batcher disqualification reasons — into it. Purely
-     * observational and, unlike the tracers, it does not disqualify
-     * the loop batcher: cycles and counters are identical with or
-     * without a profile attached. Caller-owned, worker-confined.
+     * coverage — serial vs simt activations, closed-form vs iterative
+     * simt trip counts — into it. Purely observational: cycles and
+     * counters are identical with or without a profile attached.
+     * Caller-owned, worker-confined.
      */
     void attachObs(obs::SimProfile *p);
 

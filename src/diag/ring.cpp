@@ -1,10 +1,8 @@
 #include "diag/ring.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <deque>
-#include <map>
 
 #include "analysis/simt_scan.hpp"
 #include "common/bits.hpp"
@@ -13,7 +11,6 @@
 #include "fault/controller.hpp"
 #include "fault/watchdog.hpp"
 #include "isa/decoder.hpp"
-#include "isa/exec.hpp"
 #include "obs/sim_profile.hpp"
 #include "trace/addr_trace.hpp"
 
@@ -159,7 +156,6 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
             break;
         }
     }
-    cl.batch_window.clear();
     stats_.inc("iline_fetches");
     stats_.inc("decodes", cfg_.pes_per_cluster);
     return ready;
@@ -193,62 +189,6 @@ Ring::prefetch(Addr line, Cycle when, SparseMemory &mem)
         return;
     ensureLoaded(line, when, mem);
     stats_.inc("prefetches");
-}
-
-u8
-Ring::qualifyBatchWindow(Cluster &cl, unsigned slot) const
-{
-    const unsigned n = static_cast<unsigned>(cl.insts.size());
-    if (slot >= n) {
-        if (obs_)
-            ++obs_->disqualified[obs::kReasonOutOfLine];
-        return 1;
-    }
-    if (cl.batch_window.size() != n)
-        cl.batch_window.assign(n, 0);
-    if (cl.batch_window[slot] != 0)
-        return cl.batch_window[slot];
-    u8 code = 1;
-    // Self-profiling (DESIGN.md §16): the verdict is cached per line
-    // load, so each reason tallies once per classification, not once
-    // per execution of the line.
-    unsigned reason = obs::kReasonNoTerminator;
-    for (unsigned b = slot; b < n; ++b) {
-        const DecodedInst &di = cl.insts[b];
-        if (!di.valid()) {
-            reason = obs::kReasonInvalidInst;
-            break;
-        }
-        if (di.isBranch()) {
-            // Window terminator: a conditional backward branch whose
-            // target is the entry slot again (a self-loop).
-            const Addr addr = cl.line_base + 4 * b;
-            const Addr target =
-                static_cast<Addr>(static_cast<i64>(addr) + di.imm);
-            if (di.imm < 0 && target == cl.line_base + 4 * slot)
-                code = static_cast<u8>(2 + (b - slot));
-            else
-                reason = obs::kReasonNotSelfLoop;
-            break;
-        }
-        // Interior instructions must be pure lane-to-lane compute:
-        // memory would touch cache/bus/LSU state the loop probe does
-        // not snapshot; control, system, and simt end the activation.
-        if (di.isMem() || di.isControl() || di.isSimt()) {
-            reason = di.isMem()    ? obs::kReasonInteriorMem
-                     : di.isSimt() ? obs::kReasonInteriorSimt
-                                   : obs::kReasonInteriorControl;
-            break;
-        }
-    }
-    if (obs_) {
-        if (code >= 2)
-            ++obs_->lines_batchable;
-        else
-            ++obs_->disqualified[reason];
-    }
-    cl.batch_window[slot] = code;
-    return code;
 }
 
 ThreadResult
@@ -285,258 +225,6 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
     };
 
     u64 activations = 0;
-
-    // ---- steady-state loop batcher (DESIGN.md §15) ----
-    // A resident self-loop reaches a steady state where each iteration
-    // shifts the entire timing vector by one constant c: probe two
-    // consecutive loop-top-to-loop-top intervals, and once their state
-    // deltas agree exactly, replay only the *values* (functional
-    // isa::execute per window instruction) to find the exit iteration,
-    // then bulk-apply j iterations' worth of timing shift and counter
-    // deltas at once. Eligible only when every per-iteration side
-    // effect is visible to the probe: no fault controller (checkpoints
-    // and injection force dense stepping), no tracers (per-activation
-    // events must be emitted), datapath reuse on (otherwise every
-    // iteration re-fetches over the bus), and not dense_loop mode.
-    // verbose() keeps the per-activation inform() stream complete.
-    const bool batch_ok = !cfg_.dense_loop && !faults_ && !trc_ &&
-                          !atrc_ && cfg_.reuse_enabled && !verbose();
-    struct LoopProbe
-    {
-        Addr pc = kNoLine;   //!< loop-top pc being probed
-        unsigned cluster = 0;
-        unsigned fails = 0;
-        bool have_snap = false;
-        bool have_delta = false;
-        // previous loop-top snapshot
-        LaneFile regs{};
-        Cycle pc_enter = 0;
-        Cycle min_start = 0;
-        Cycle free_at = 0;
-        u64 use_counter = 0;
-        std::vector<Cycle> pe_busy;
-        std::deque<Cycle> inflight;
-        std::map<std::string, double> stats;
-        // candidate per-iteration deltas (awaiting one confirmation)
-        Cycle c = 0;
-        std::array<Cycle, isa::kNumRegs> lane_d{};
-        std::map<std::string, double> stat_d;
-    };
-    LoopProbe probe;
-    // A window that never settles (e.g. an operand lane still crossing
-    // a max) is re-probed a bounded number of times, then blacklisted
-    // in the cluster's window cache to stop the snapshot overhead.
-    constexpr unsigned kProbeFails = 8;
-
-    auto snapshot_probe = [&](const Cluster &cl, unsigned slot,
-                              unsigned last) {
-        probe.regs = regs;
-        probe.pc_enter = pc_enter;
-        probe.min_start = min_start;
-        probe.free_at = cl.free_at;
-        probe.use_counter = use_counter_;
-        probe.pe_busy.assign(cl.pe_busy.begin() + slot,
-                             cl.pe_busy.begin() + last + 1);
-        probe.inflight = inflight;
-        probe.stats = stats_.all();
-        probe.have_snap = true;
-        if (obs_)
-            ++obs_->probe_attempts;
-    };
-
-    // Returns true when it advanced the thread past j>=1 batched loop
-    // iterations; the caller continues at the (post-jump) loop top so
-    // the budget / watchdog / cancellation checks run there as usual.
-    auto try_batch = [&]() -> bool {
-        const Addr line = alignDown(pc, line_bytes_);
-        const auto res_it = resident_.find(line);
-        if (res_it == resident_.end()) {
-            probe.pc = kNoLine;
-            return false;
-        }
-        Cluster &cl = clusters_[res_it->second];
-        const unsigned slot = static_cast<unsigned>((pc - line) / 4);
-        const u8 code = qualifyBatchWindow(cl, slot);
-        if (code < 2) {
-            probe.pc = kNoLine;
-            return false;
-        }
-        const unsigned last = slot + (code - 2);  // branch slot
-        if (pc != probe.pc || res_it->second != probe.cluster ||
-            cl.pe_busy.size() <= last) {
-            probe.pc = pc;
-            probe.cluster = res_it->second;
-            probe.fails = 0;
-            probe.have_delta = false;
-            probe.have_snap = false;
-            if (cl.pe_busy.size() > last)
-                snapshot_probe(cl, slot, last);
-            return false;
-        }
-        if (!probe.have_snap) {
-            snapshot_probe(cl, slot, last);
-            return false;
-        }
-
-        // ---- diff this loop top against the previous one ----
-        const Cycle c = pc_enter - probe.pc_enter;
-        // The speculation-lookahead deque grows by one activation per
-        // iteration until it saturates at speculation_depth; while it
-        // is still growing the intervals cannot match structurally, so
-        // the mismatch is a ramp-up transient, not a verdict on the
-        // loop — it must not count toward the blacklist.
-        const bool ramping =
-            inflight.size() != probe.inflight.size();
-        bool ok = pc_enter > probe.pc_enter &&
-                  min_start - probe.min_start == c &&
-                  cl.free_at - probe.free_at == c &&
-                  use_counter_ - probe.use_counter == 2 && !ramping;
-        for (size_t i = 0; ok && i < inflight.size(); ++i)
-            ok = inflight[i] - probe.inflight[i] == c;
-        for (unsigned i = slot; ok && i <= last; ++i)
-            ok = cl.pe_busy[i] - probe.pe_busy[i - slot] == c;
-        // Static read / write sets of the window.
-        bool in_w[isa::kNumRegs] = {};
-        bool in_r[isa::kNumRegs] = {};
-        for (unsigned i = slot; i <= last; ++i) {
-            const DecodedInst &di = cl.insts[i];
-            for (RegId r : {di.rs1, di.rs2, di.rs3})
-                if (r != kNoReg && r != kRegZero)
-                    in_r[r] = true;
-            if (di.writesReg())
-                in_w[di.rd] = true;
-        }
-        std::array<Cycle, isa::kNumRegs> lane_d{};
-        for (unsigned r = 0; ok && r < isa::kNumRegs; ++r) {
-            const LaneState &now = regs[r];
-            const LaneState &then = probe.regs[r];
-            if (now.seg != then.seg || now.ready < then.ready) {
-                ok = false;
-                break;
-            }
-            lane_d[r] = now.ready - then.ready;
-            if (in_w[r]) {
-                // Written lanes must ride the uniform shift.
-                ok = lane_d[r] == c;
-            } else {
-                // Unwritten lanes evolve autonomously (reuse latch +
-                // output sweep): values must be loop-invariant, and
-                // operand lanes may not outgrow the shift — a faster-
-                // growing term could come to dominate a max later and
-                // break the extrapolation.
-                ok = now.value == then.value &&
-                     (!in_r[r] || lane_d[r] <= c);
-            }
-        }
-        std::map<std::string, double> stat_d;
-        if (ok) {
-            for (const auto &kv : stats_.all()) {
-                const auto it = probe.stats.find(kv.first);
-                const double prev =
-                    it == probe.stats.end() ? 0.0 : it->second;
-                if (kv.second != prev)
-                    stat_d[kv.first] = kv.second - prev;
-            }
-        }
-        if (!ok) {
-            if (obs_)
-                ++obs_->probe_misses;
-            if (!ramping && ++probe.fails >= kProbeFails) {
-                cl.batch_window[slot] = 1;  // dynamic blacklist
-                if (obs_)
-                    ++obs_->probe_blacklisted;
-            }
-            probe.have_delta = false;
-            snapshot_probe(cl, slot, last);
-            return false;
-        }
-        if (!probe.have_delta || c != probe.c ||
-            lane_d != probe.lane_d || stat_d != probe.stat_d) {
-            probe.c = c;
-            probe.lane_d = lane_d;
-            probe.stat_d = std::move(stat_d);
-            probe.have_delta = true;
-            snapshot_probe(cl, slot, last);
-            return false;
-        }
-
-        // ---- two consecutive intervals agree exactly: extrapolate ----
-        // Replay values only, bounded by the instruction budget, the
-        // first cycle-watchdog violation, and a chunk cap that keeps
-        // cooperative-cancellation polls reachable.
-        const u64 per_iter = last - slot + 1;
-        u64 cap = u64{1} << 20;
-        cap = std::min(cap,
-                       (max_insts - retired + per_iter - 1) / per_iter);
-        const Cycle top = std::max(pc_enter, min_start);
-        if (cfg_.max_cycles != 0 && cfg_.max_cycles >= top)
-            cap = std::min(cap, (cfg_.max_cycles - top) / c + 1);
-        u32 vals[isa::kNumRegs];
-        for (unsigned r = 0; r < isa::kNumRegs; ++r)
-            vals[r] = regs[r].value;
-        auto val_of = [&](RegId r) -> u32 {
-            return (r == kNoReg || r == kRegZero) ? 0 : vals[r];
-        };
-        u64 j = 0;
-        while (j < cap) {
-            // The not-taken iteration belongs to the dense engine (it
-            // keeps executing past the branch), so its interior writes
-            // are undone before leaving the replay.
-            RegId undo_rd[16];
-            u32 undo_val[16];
-            unsigned nu = 0;
-            bool taken = true;
-            for (unsigned i = slot; i <= last; ++i) {
-                const DecodedInst &di = cl.insts[i];
-                const ExecOut eo =
-                    execute(di, line + 4 * i, val_of(di.rs1),
-                            val_of(di.rs2), val_of(di.rs3));
-                if (i == last) {
-                    taken = eo.redirect;
-                } else if (di.writesReg()) {
-                    undo_rd[nu] = di.rd;
-                    undo_val[nu] = vals[di.rd];
-                    ++nu;
-                    vals[di.rd] = eo.value;
-                }
-            }
-            if (!taken) {
-                while (nu--)
-                    vals[undo_rd[nu]] = undo_val[nu];
-                break;
-            }
-            ++j;
-        }
-        if (j == 0)
-            return false;
-
-        // ---- bulk-apply j iterations of the confirmed deltas ----
-        for (unsigned r = 0; r < isa::kNumRegs; ++r) {
-            regs[r].value = vals[r];
-            regs[r].ready += j * probe.lane_d[r];
-        }
-        pc_enter += j * c;
-        min_start += j * c;
-        for (Cycle &d : inflight)
-            d += j * c;
-        for (unsigned i = slot; i <= last; ++i)
-            cl.pe_busy[i] += j * c;
-        cl.free_at += j * c;
-        use_counter_ += 2 * j;
-        cl.last_use = use_counter_;
-        retired += j * per_iter;
-        activations += j;
-        if (obs_) {
-            ++obs_->batch_jumps;
-            obs_->batched_iterations += j;
-            obs_->batched_insts += j * per_iter;
-        }
-        for (const auto &kv : probe.stat_d)
-            stats_.inc(kv.first, static_cast<double>(j) * kv.second);
-        probe.have_snap = false;  // re-probe from scratch after a jump
-        probe.have_delta = false;
-        return true;
-    };
 
     while (retired < max_insts) {
         // Cooperative host cancellation / wall-clock watchdog: the
@@ -619,8 +307,6 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                 }
             }
         }
-        if (batch_ok && try_batch())
-            continue;
         const Addr line = alignDown(pc, line_bytes_);
         const Cycle demand = std::max(pc_enter, min_start);
         const Resident got = ensureLoaded(line, demand, mem);

@@ -89,10 +89,8 @@ class Ring
     /**
      * Attach (or detach with nullptr) a skip-idle self-profile
      * (DESIGN.md §16). The profile is pure observation — plain u64
-     * tallies of fast-path coverage — and, unlike the tracers, does
-     * NOT disqualify the loop batcher: a profiled run batches exactly
-     * where an unprofiled one does and computes cycle- and
-     * counter-identical results.
+     * tallies of fast-path coverage — so a profiled run computes
+     * cycle- and counter-identical results.
      */
     void setObs(obs::SimProfile *p) { obs_ = p; }
 
@@ -153,17 +151,6 @@ class Ring
     /** warn()-level ring-state dump attached to watchdog aborts. */
     void dumpState(const char *why) const;
 
-    /**
-     * Classify (and cache in @p cl.batch_window) whether an activation
-     * entering at slot @p slot is a batchable self-loop window: every
-     * instruction from the entry slot up to a final backward
-     * conditional branch whose target is the entry slot again, with no
-     * memory, control, system, or simt instruction in between. Returns
-     * the cache encoding (0 never returned: 1 = not batchable,
-     * 2 + b = batchable, branch in slot b).
-     */
-    u8 qualifyBatchWindow(Cluster &cl, unsigned slot) const;
-
     const DiagConfig &cfg_;
     unsigned index_;
     mem::MemHierarchy &mh_;
@@ -182,10 +169,6 @@ class Ring
     StatCounter st_fetch_wait_cycles_{stats_, "fetch_wait_cycles"};
     StatCounter st_reuse_redirects_{stats_, "reuse_redirects"};
     StatCounter st_ctrl_stall_cycles_{stats_, "ctrl_stall_cycles"};
-    // Note: the loop batcher deliberately adds NO counters of its own —
-    // the dense/skip-idle equivalence contract includes byte-identical
-    // dumpJson output, so the batched path must create exactly the keys
-    // the dense path creates.
     fault::FaultController *faults_ = nullptr; //!< null = no injection
     trace::Tracer *trc_ = nullptr;             //!< null = tracing off
     trace::AddrTrace *atrc_ = nullptr;         //!< null = no addr log

@@ -4,9 +4,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
+#include "asm/assembler.hpp"
 #include "common/log.hpp"
 
 namespace diag::harness
@@ -272,6 +275,25 @@ configWithRings(const std::string &name, unsigned rings)
     if (rings != 0)
         cfg.num_rings = rings;
     return cfg;
+}
+
+AsmFile
+readAsmFile(const std::string &path)
+{
+    std::ifstream in(path);
+    fatal_if(!in.good(), "cannot open '%s'", path.c_str());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    AsmFile f;
+    f.source = ss.str();
+    try {
+        f.program = assembler::assemble(f.source);
+    } catch (const assembler::AsmError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+        std::exit(1);
+    }
+    return f;
 }
 
 } // namespace diag::harness

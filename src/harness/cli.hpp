@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "asm/program.hpp"
 #include "common/types.hpp"
 #include "diag/config.hpp"
 
@@ -127,6 +128,21 @@ bool tryConfigByName(const std::string &name, core::DiagConfig *out);
 /** @p base with its ring count overridden when @p rings != 0. */
 core::DiagConfig configWithRings(const std::string &name,
                                  unsigned rings);
+
+/** A `.s` file named on a tool's command line, read and assembled. */
+struct AsmFile
+{
+    std::string source;
+    Program program;
+};
+
+/**
+ * Read and assemble the `.s` file at @p path. An unreadable file is
+ * fatal(). A file that does not assemble prints "<path>: <message>"
+ * on stderr and exits 1, the code fatal() uses, instead of letting
+ * the assembler's exception abort the tool.
+ */
+AsmFile readAsmFile(const std::string &path);
 
 } // namespace diag::harness
 

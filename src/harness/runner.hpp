@@ -49,8 +49,7 @@ struct RunSpec
     /** When true, runOnDiag creates an obs::SimProfile inside the
      *  owning worker, attaches it for the run, and returns it in
      *  EngineRun::obs — skip-idle fast-path coverage (DESIGN.md §16).
-     *  Unlike `trace`, a profile never disqualifies the loop batcher;
-     *  cycles and counters are identical either way. Ignored by the
+     *  Cycles and counters are identical either way. Ignored by the
      *  OoO baseline. */
     bool obs = false;
     /** When set, the engine polls this token at activation boundaries

@@ -221,8 +221,8 @@ struct SimProfile;
 
 /**
  * Flatten a skip-idle self-profile into a registry named "sim"
- * (counters only; disqualification reasons keyed disq_<reason>), for
- * byte-stable JSON dumps via MetricRegistry::dumpJson.
+ * (counters only), for byte-stable JSON dumps via
+ * MetricRegistry::dumpJson.
  */
 MetricRegistry profileRegistry(const SimProfile &p);
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * Simulator self-profiling counters for the skip-idle scheduler
- * (DESIGN.md §15/§16): how often the steady-state loop batcher
- * actually engages, how much work it extrapolates, and — when it does
- * not engage — why qualifyBatchWindow or the dynamic blacklist turned
- * the line down.
+ * (DESIGN.md §15/§16): how many activations the serial control unit
+ * stepped, how many retired through simt pipeline dispatch, and how
+ * many simt regions resolved their trip count in closed form.
  *
  * Header-only on purpose: diag_core does not link diag_trace or
  * diag_obs, so the hook type it stores a pointer to must be complete
@@ -22,108 +21,33 @@ namespace diag::obs
 {
 
 /**
- * Why the loop batcher declined a line, tallied once per line
- * classification (qualifyBatchWindow caches its verdict per cluster,
- * so each reason is counted at most once per line load — re-running
- * the same cached verdict adds nothing, keeping the tallies
- * deterministic and independent of how often the line re-executes).
- */
-enum BatchReason : unsigned {
-    kReasonInvalidInst = 0,   //!< window reached a non-instruction slot
-    kReasonNotSelfLoop,       //!< branch present but not a self-loop top
-    kReasonInteriorMem,       //!< memory op inside the window
-    kReasonInteriorControl,   //!< non-loop control flow inside the window
-    kReasonInteriorSimt,      //!< simt region marker inside the window
-    kReasonNoTerminator,      //!< fell off the line without a branch
-    kReasonOutOfLine,         //!< start slot beyond the line's PEs
-    kReasonCount
-};
-
-inline const char *
-batchReasonName(unsigned r)
-{
-    switch (r) {
-    case kReasonInvalidInst: return "invalid_inst";
-    case kReasonNotSelfLoop: return "not_self_loop";
-    case kReasonInteriorMem: return "interior_mem";
-    case kReasonInteriorControl: return "interior_control";
-    case kReasonInteriorSimt: return "interior_simt";
-    case kReasonNoTerminator: return "no_terminator";
-    case kReasonOutOfLine: return "out_of_line";
-    default: return "unknown";
-    }
-}
-
-/**
  * Skip-idle fast-path coverage for one simulator run. All counters are
- * additive, so per-ring/per-worker profiles merge with operator+=.
+ * additive, so per-ring/per-worker profiles merge with merge().
  */
 struct SimProfile {
-    /// Activations stepped densely through the execution engine
-    /// (serial path; each engine.run call on the scalar pipeline).
+    /// Activations stepped through the execution engine on the
+    /// serial path (each engine.run call on the scalar pipeline).
     u64 dense_activations = 0;
     /// Activations retired via simt pipeline dispatch.
     u64 simt_activations = 0;
-    /// Successful bulk extrapolations (each covers many iterations).
-    u64 batch_jumps = 0;
-    /// Loop iterations applied in bulk instead of being stepped.
-    u64 batched_iterations = 0;
-    /// Instructions retired through bulk extrapolation.
-    u64 batched_insts = 0;
-    /// Loop-probe windows opened (snapshot taken at a batchable top).
-    u64 probe_attempts = 0;
-    /// Probe diffs that failed to confirm a steady state.
-    u64 probe_misses = 0;
-    /// Lines dynamically blacklisted after kProbeFails non-ramping
-    /// failures (batch_window demoted to "not batchable").
-    u64 probe_blacklisted = 0;
     /// simt regions resolved with the closed-form trip count...
     u64 simt_closed_form = 0;
     /// ...vs. walked iteratively (data-dependent trip).
     u64 simt_iterative = 0;
-    /// Lines classified batchable by qualifyBatchWindow.
-    u64 lines_batchable = 0;
-    /// Per-reason disqualification tallies (see BatchReason).
-    u64 disqualified[kReasonCount] = {};
 
     void
     merge(const SimProfile &o)
     {
         dense_activations += o.dense_activations;
         simt_activations += o.simt_activations;
-        batch_jumps += o.batch_jumps;
-        batched_iterations += o.batched_iterations;
-        batched_insts += o.batched_insts;
-        probe_attempts += o.probe_attempts;
-        probe_misses += o.probe_misses;
-        probe_blacklisted += o.probe_blacklisted;
         simt_closed_form += o.simt_closed_form;
         simt_iterative += o.simt_iterative;
-        lines_batchable += o.lines_batchable;
-        for (unsigned r = 0; r < kReasonCount; ++r)
-            disqualified[r] += o.disqualified[r];
     }
 
-    u64
-    disqualifiedTotal() const
-    {
-        u64 t = 0;
-        for (unsigned r = 0; r < kReasonCount; ++r)
-            t += disqualified[r];
-        return t;
-    }
-
-    /** Fraction of loop-iteration activations covered by the batcher:
-     *  batched / (batched + densely stepped). Zero when nothing ran. */
-    double
-    batchedFraction() const
-    {
-        const u64 denom = batched_iterations + dense_activations;
-        return denom == 0
-            ? 0.0
-            : static_cast<double>(batched_iterations) /
-                  static_cast<double>(denom);
-    }
+    /** Always 0.0: the simulator has no loop batcher. Kept only
+     *  because suitebench (suitebench/src/diag_suite.cpp) reads it
+     *  for its `obs.batched_fraction` metric; no other code does. */
+    double batchedFraction() const { return 0.0; }
 };
 
 } // namespace diag::obs

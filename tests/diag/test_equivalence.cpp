@@ -2,8 +2,8 @@
  * Differential equivalence sweep for the skip-idle scheduler
  * (DESIGN.md §15): the event-timed fast path (cached cluster
  * metadata, PE-cursor jumps, in-place lane propagation, closed-form
- * simt trips, steady-state loop batching) must be *bit-for-bit*
- * indistinguishable from dense per-PE stepping. Every workload and a
+ * simt trips) must be *bit-for-bit* indistinguishable from dense
+ * per-PE stepping. Every workload and a
  * seeded fuzz corpus run both ways; cycles, instruction counts, the
  * full StatGroup JSON dump (byte-equal — same keys, same order, same
  * values), trace event streams, address logs, and fault-campaign
@@ -181,7 +181,12 @@ TEST_P(SkipIdleFuzz, SimtProgramsMatchDense)
 INSTANTIATE_TEST_SUITE_P(Seeds, SkipIdleFuzz,
                          ::testing::Range<u64>(1, 13));
 
-// --- Loop-batcher stress: shapes chosen to hit the batch paths. ----
+// --- Loop stress: resident loops re-entered mid-line. -------------
+//
+// Every loop top below sits past slot 0 of its line, so each backward
+// branch re-enters the resident cluster through the PE-cursor jump
+// over the disabled leading PEs, and the cached backward-branch flag
+// decides prefetch suppression on every activation.
 
 namespace
 {
@@ -206,8 +211,8 @@ kernelBothWays(const std::string &src)
 
 TEST(SkipIdleEquivalence, SteadyAluLoop)
 {
-    // The bench kernel shape: long counted loop, pure ALU — the case
-    // the steady-state batcher is built for.
+    // Long counted pure-ALU loop: thousands of mid-line re-entries
+    // through the PE-cursor jump.
     kernelBothWays(R"(
         _start:
             li a0, 0
@@ -225,8 +230,8 @@ TEST(SkipIdleEquivalence, SteadyAluLoop)
 
 TEST(SkipIdleEquivalence, ShortTripLoops)
 {
-    // One-, two-, and three-iteration loops: the batcher's probe can
-    // never confirm a steady state; the exit path must still be exact.
+    // One-, two-, and three-iteration loops: the speculation window
+    // never fills, and the not-taken exit path must still be exact.
     for (int n : {1, 2, 3}) {
         kernelBothWays(R"(
         _start:
@@ -244,9 +249,9 @@ TEST(SkipIdleEquivalence, ShortTripLoops)
 
 TEST(SkipIdleEquivalence, NestedLoopsMatchDense)
 {
-    // The inner loop re-enters steady state once per outer iteration;
-    // every re-qualification and final not-taken exit must replay
-    // exactly.
+    // The inner loop is re-entered from the outer one 17 times; every
+    // entry at the inner top and every final not-taken exit must
+    // match dense stepping exactly.
     kernelBothWays(R"(
         _start:
             li s0, 0
@@ -267,7 +272,7 @@ TEST(SkipIdleEquivalence, NestedLoopsMatchDense)
 TEST(SkipIdleEquivalence, MemoryLoopMatchesDense)
 {
     // Strided stores then a reduction load loop: cache/bus counters
-    // and the final memory image must survive batching untouched.
+    // and the final memory image must match dense stepping.
     kernelBothWays(R"(
         _start:
             li a0, 0x8000
@@ -295,9 +300,9 @@ TEST(SkipIdleEquivalence, MemoryLoopMatchesDense)
 
 TEST(SkipIdleEquivalence, DataDependentExitMatchesDense)
 {
-    // Collatz-style loop: the trip count is not affine in the
-    // induction variable, so delta vectors never stabilize for long —
-    // the batcher must keep re-probing without drifting.
+    // Collatz-style loop: a data-dependent forward branch inside the
+    // body disables a different run of PEs from one iteration to the
+    // next, so the PE-cursor jump skips a different span each time.
     kernelBothWays(R"(
         _start:
             li a0, 27
@@ -321,9 +326,9 @@ TEST(SkipIdleEquivalence, DataDependentExitMatchesDense)
 
 TEST(SkipIdleEquivalence, ChromeTraceBytesMatchDense)
 {
-    // An attached tracer forces dense stepping of loops, but the
-    // PE-cursor jump, cached metadata, and in-place lane file stay
-    // active — the emitted event stream must still be byte-identical.
+    // With a tracer attached the PE-cursor jump, cached metadata, and
+    // in-place lane file stay active — the emitted event stream must
+    // be byte-identical to dense stepping.
     const workloads::Workload w = workloads::findWorkload("nn");
     trace::TraceConfig tc;
     harness::RunSpec spec;
@@ -363,10 +368,10 @@ TEST(SkipIdleEquivalence, AddrTraceMatchesDense)
 
 TEST(SkipIdleEquivalence, FaultCampaignReportMatchesDense)
 {
-    // Fault controllers force dense stepping (a batched iteration has
-    // no cycle at which to inject), so a campaign configured with
-    // skip-idle scheduling must render the very same report as one
-    // configured dense — and as one fanned over four host jobs.
+    // Injection and recovery run at activation boundaries on both
+    // paths, so a campaign configured with skip-idle scheduling must
+    // render the very same report as one configured dense — and as
+    // one fanned over four host jobs.
     fault::CampaignSpec spec;
     spec.workload = "nn";
     spec.config = DiagConfig::f4c16();

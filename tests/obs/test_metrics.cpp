@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
 #include "diag/processor.hpp"
 #include "harness/runner.hpp"
 #include "host/parallel.hpp"
@@ -141,24 +140,20 @@ TEST(ObsRegistry, ShardMergeIsJobCountInvariant)
     EXPECT_NE(golden.find("\"items\": 600"), std::string::npos);
 }
 
-TEST(ObsProfile, ReasonNamesAndMergeAlgebra)
+TEST(ObsProfile, MergeAlgebra)
 {
-    for (unsigned r = 0; r < kReasonCount; ++r)
-        EXPECT_STRNE(batchReasonName(r), "unknown") << r;
     SimProfile a, b;
     a.dense_activations = 10;
-    a.batched_iterations = 30;
-    a.disqualified[kReasonInteriorMem] = 2;
+    a.simt_closed_form = 2;
     b.dense_activations = 5;
-    b.batch_jumps = 1;
-    b.disqualified[kReasonInteriorMem] = 1;
-    b.disqualified[kReasonNotSelfLoop] = 4;
+    b.simt_activations = 7;
+    b.simt_closed_form = 1;
+    b.simt_iterative = 3;
     a.merge(b);
     EXPECT_EQ(a.dense_activations, 15u);
-    EXPECT_EQ(a.batch_jumps, 1u);
-    EXPECT_EQ(a.disqualified[kReasonInteriorMem], 3u);
-    EXPECT_EQ(a.disqualifiedTotal(), 7u);
-    EXPECT_DOUBLE_EQ(a.batchedFraction(), 30.0 / 45.0);
+    EXPECT_EQ(a.simt_activations, 7u);
+    EXPECT_EQ(a.simt_closed_form, 3u);
+    EXPECT_EQ(a.simt_iterative, 3u);
 }
 
 /** Run @p name on the diag engine, optionally self-profiled. */
@@ -189,45 +184,18 @@ TEST(ObsOverhead, ProfiledRunIsCycleAndCounterIdentical)
               plain.stats.counters.all());
     // And it saw the run: activations flowed through some path.
     EXPECT_GT(profiled.obs->dense_activations +
-                  profiled.obs->simt_activations +
-                  profiled.obs->batched_iterations,
+                  profiled.obs->simt_activations,
               0u);
 }
 
-TEST(ObsProfile, BatcherCoverageOnASteadyLoop)
+TEST(ObsProfile, SimtWorkloadResolvesTripsInClosedForm)
 {
-    // The bench kernel: a 2000-iteration self-loop the skip-idle
-    // batcher covers almost entirely.
-    const char *kernel = R"(
-        _start:
-            li a0, 0
-            li a1, 2000
-        loop:
-            addi t0, a0, 3
-            slli t1, t0, 2
-            xor t2, t1, a0
-            and t3, t2, t1
-            addi a0, a0, 1
-            bne a0, a1, loop
-            ebreak
-    )";
-    const Program p = assembler::assemble(kernel);
-    SimProfile prof;
-    core::DiagProcessor proc(core::DiagConfig::f4c32());
-    proc.attachObs(&prof);
-    const sim::RunStats rs = proc.run(p);
-    proc.attachObs(nullptr);
-    ASSERT_TRUE(rs.halted);
-    EXPECT_GT(prof.lines_batchable, 0u);
-    EXPECT_GT(prof.batch_jumps, 0u);
-    EXPECT_GT(prof.batched_iterations, 1000u);
-    EXPECT_GT(prof.batchedFraction(), 0.5);
-    // A profiled run must not change the numbers either.
-    core::DiagProcessor bare(core::DiagConfig::f4c32());
-    const sim::RunStats rs2 = bare.run(p);
-    EXPECT_EQ(rs.cycles, rs2.cycles);
-    EXPECT_EQ(rs.instructions, rs2.instructions);
-    EXPECT_EQ(rs.counters.all(), rs2.counters.all());
+    // kmeans' simt region has a launch-constant trip count, so the
+    // skip-idle path resolves it in closed form instead of walking it.
+    const harness::EngineRun run = runWorkload("kmeans", true, true);
+    ASSERT_TRUE(run.obs);
+    EXPECT_GT(run.obs->simt_closed_form, 0u);
+    EXPECT_GT(run.obs->simt_activations, 0u);
 }
 
 TEST(ObsSoak, ReportBytesAreJobCountInvariant)

@@ -9,9 +9,10 @@ trajectory file, so performance over time is one `git log`-free read.
 
 A record keeps only what trend analysis needs: the capture date, which
 bench produced it, the build context that makes the numbers comparable
-(build type, optimization, any diag_* self-profile context such as the
-skip-idle batcher coverage emitted by bench_sim_speed), and the per-s
-rate counters of every benchmark in the capture.
+(build type, optimization, any other diag_* context the bench adds),
+and the per-s rate counters of every benchmark in the capture. These are micro-benchmark
+records; the gated throughput number is the real-suite one
+(suitebench, checked by check_bench.py --suite).
 
 Usage:
   bench_trajectory.py append BENCH_sim_speed.json [--trajectory FILE]
@@ -30,7 +31,7 @@ Schema (version 1):
    "records": [
      {"date": "...", "bench": "bench_sim_speed",
       "context": {"library_build_type": "release", ...},
-      "rates": {"BM_DiagModel": {"sim_inst_per_s": 6.77e7}, ...}},
+      "rates": {"BM_DiagModel": {"sim_inst_per_s": 9.8e6}, ...}},
      ...]}
 
 Records are append-only and kept in file order (which is capture-append
@@ -108,7 +109,7 @@ def distill(capture: dict, bench_json_path: str) -> dict:
                                          .replace(".json", "")
     record_ctx = {k: ctx[k] for k in CONTEXT_KEYS if k in ctx}
     # diag_* keys are this repo's own AddCustomContext payload (build
-    # type, optimization, skip-idle batcher coverage) — keep them all.
+    # type, optimization) — keep them all.
     record_ctx.update(
         {k: v for k, v in ctx.items() if k.startswith("diag_")})
     rates = {}

@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
 """Gate simulator-throughput benchmark results (CI bench smoke).
 
-Reads a bench_sim_speed --benchmark_out JSON file and fails (exit 1)
-when:
-  * the timing library self-reports a debug build (the numbers would
-    measure the library, not the simulator),
-  * the simulator under test was not optimized,
-  * BM_DiagModel's sim_inst_per_s falls below the absolute floor
-    (guards against the skip-idle scheduler regressing back toward the
-    4.5M inst/s dense baseline), or
-  * BM_DiagModel is not at least MIN_RATIO times BM_DiagModelDense
-    (the steady-state loop batcher's speedup on the bench kernel).
+Two inputs, either or both:
+
+  * --suite FILE: the saved stdout of
+        python3 suitebench/run.py --workload diag-suite --seed 1 \\
+            --seconds 30 --trace 0
+    Its last JSON line is the result. Fails (exit 1) when any
+    operation failed, or when the calibrated sim_inst_per_s is below
+    the floor. The default floor is FLOOR_FRACTION of the
+    diag-suite sim_inst_per_s median in suitebench/BASELINE.json;
+    --floor overrides it with an absolute rate.
+  * BENCH_JSON: a bench_sim_speed --benchmark_out JSON file. Fails
+    when the timing library self-reports a debug build, or the
+    simulator under test was not optimized (the numbers would measure
+    the compiler, not the simulator). BM_DiagModel's micro-loop rate
+    is printed as a record and not gated.
 
 With --trajectory, additionally validates the accumulated
 BENCH_trajectory.json (see tools/bench_trajectory.py) against its
 schema, so a malformed append fails the bench smoke rather than
 rotting silently; an absent trajectory file is tolerated.
 
-Usage: check_bench.py BENCH_sim_speed.json [--floor INSTS_PER_S]
-                                           [--ratio MIN_RATIO]
-                                           [--trajectory FILE]
+Usage: check_bench.py [BENCH_JSON] [--suite FILE] [--floor INSTS_PER_S]
+                      [--trajectory FILE]
 """
 
 import argparse
@@ -29,11 +33,11 @@ import sys
 
 import bench_trajectory
 
-# The committed pre-skip-idle baseline measured 4.51M simulated
-# instructions per host second for BM_DiagModel; the issue's acceptance
-# bar is >= 3x that. CI hosts vary, so the default floor keeps margin.
-DEFAULT_FLOOR = 13.5e6
-DEFAULT_RATIO = 3.0
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "suitebench", "BASELINE.json")
+SUITE_WORKLOAD = "diag-suite"
+# Fraction of the baseline median the calibrated rate must reach.
+FLOOR_FRACTION = 0.5
 
 
 def fail(msg: str) -> None:
@@ -41,17 +45,81 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
+def last_json_line(text: str, where: str) -> dict:
+    for line in reversed(text.splitlines()):
+        line = line.strip()
+        if line.startswith("{"):
+            try:
+                return json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(f"{where}: last JSON line does not parse: {e}")
+    fail(f"{where}: no JSON result line")
+
+
+def baseline_floor() -> float:
+    with open(BASELINE) as f:
+        doc = json.load(f)
+    try:
+        median = (doc["end_to_end"][SUITE_WORKLOAD]["summary"]
+                  ["sim_inst_per_s"]["median"])
+    except (KeyError, TypeError):
+        fail(f"{BASELINE}: no {SUITE_WORKLOAD} sim_inst_per_s median")
+    return FLOOR_FRACTION * median
+
+
+def check_suite(path: str, floor: float) -> None:
+    with open(path) as f:
+        res = last_json_line(f.read(), path)
+    failed = res.get("failed")
+    rate = res.get("metrics", {}).get("sim_inst_per_s", {}).get("value")
+    if failed is None or rate is None:
+        fail(f"{path}: result lacks 'failed' or "
+             f"'metrics.sim_inst_per_s.value'")
+    print(f"check_bench: {SUITE_WORKLOAD} {res.get('attempted')} ops, "
+          f"{failed} failed")
+    print(f"check_bench: {SUITE_WORKLOAD} sim_inst_per_s {rate:.3e} "
+          f"(floor {floor:.3e})")
+    if failed > 0 or not res.get("correct", False):
+        fail(f"{SUITE_WORKLOAD}: {failed} operations failed")
+    if rate < floor:
+        fail(f"{SUITE_WORKLOAD} sim_inst_per_s {rate:.3e} below the "
+             f"{floor:.3e} floor")
+
+
+def check_micro(path: str) -> None:
+    with open(path) as f:
+        doc = json.load(f)
+    ctx = doc.get("context", {})
+    if ctx.get("library_build_type") != "release":
+        fail(f"timing library built as "
+             f"'{ctx.get('library_build_type')}' — numbers are not a "
+             f"measurement (need a Release build of the bench tree)")
+    if ctx.get("diag_optimized") == "false":
+        fail("simulator under test compiled without optimization")
+    rates = {run["name"]: run["sim_inst_per_s"]
+             for run in doc.get("benchmarks", [])
+             if "sim_inst_per_s" in run}
+    diag = rates.get("BM_DiagModel")
+    if diag is None:
+        fail("BM_DiagModel missing from the benchmark output")
+    print(f"check_bench: BM_DiagModel {diag:.3e} inst/s (not gated)")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("bench_json")
-    ap.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
-                    help="minimum BM_DiagModel sim_inst_per_s")
-    ap.add_argument("--ratio", type=float, default=DEFAULT_RATIO,
-                    help="minimum BM_DiagModel / BM_DiagModelDense")
+    ap.add_argument("bench_json", nargs="?", default=None,
+                    help="bench_sim_speed --benchmark_out JSON")
+    ap.add_argument("--suite", default=None,
+                    help="saved suitebench diag-suite stdout")
+    ap.add_argument("--floor", type=float, default=None,
+                    help="minimum diag-suite sim_inst_per_s (default: "
+                         f"{FLOOR_FRACTION} x the baseline median)")
     ap.add_argument("--trajectory", default=None,
                     help="also validate this BENCH_trajectory.json "
                          "(absent file tolerated)")
     args = ap.parse_args()
+    if args.bench_json is None and args.suite is None:
+        ap.error("give a bench JSON, --suite, or both")
 
     if args.trajectory is not None and os.path.exists(args.trajectory):
         with open(args.trajectory) as f:
@@ -65,40 +133,12 @@ def main() -> None:
         print(f"check_bench: trajectory {args.trajectory} valid "
               f"({len(tdoc['records'])} records)")
 
-    with open(args.bench_json) as f:
-        doc = json.load(f)
-
-    ctx = doc.get("context", {})
-    if ctx.get("library_build_type") != "release":
-        fail(f"timing library built as "
-             f"'{ctx.get('library_build_type')}' — numbers are not a "
-             f"measurement (need a Release build of the bench tree)")
-    if ctx.get("diag_optimized") == "false":
-        fail("simulator under test compiled without optimization")
-
-    rates = {}
-    for run in doc.get("benchmarks", []):
-        if "sim_inst_per_s" in run:
-            rates[run["name"]] = run["sim_inst_per_s"]
-
-    diag = rates.get("BM_DiagModel")
-    dense = rates.get("BM_DiagModelDense")
-    if diag is None:
-        fail("BM_DiagModel missing from the benchmark output")
-    if dense is None:
-        fail("BM_DiagModelDense missing from the benchmark output")
-
-    print(f"check_bench: BM_DiagModel      {diag:.3e} inst/s")
-    print(f"check_bench: BM_DiagModelDense {dense:.3e} inst/s")
-    print(f"check_bench: speedup           {diag / dense:.2f}x "
-          f"(floor {args.ratio:.2f}x)")
-
-    if diag < args.floor:
-        fail(f"BM_DiagModel {diag:.3e} inst/s below the "
-             f"{args.floor:.3e} floor")
-    if diag < args.ratio * dense:
-        fail(f"skip-idle speedup {diag / dense:.2f}x below the "
-             f"{args.ratio:.2f}x floor")
+    if args.bench_json is not None:
+        check_micro(args.bench_json)
+    if args.suite is not None:
+        floor = (args.floor if args.floor is not None
+                 else baseline_floor())
+        check_suite(args.suite, floor)
     print("check_bench: PASS")
 
 

@@ -21,8 +21,6 @@
  * 1 when findings fail that bar or on usage errors.
  */
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -145,11 +143,8 @@ main(int argc, char **argv)
         bad += lintWorkload(workloads::findWorkload(opt.workload), opt);
     }
     for (const std::string &file : opt.files) {
-        std::ifstream in(file);
-        fatal_if(!in.good(), "cannot open '%s'", file.c_str());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        bad += fails(lintUnit(file, ss.str(), opt, /*abi_entry=*/false),
+        bad += fails(lintUnit(file, harness::readAsmFile(file).source,
+                              opt, /*abi_entry=*/false),
                      opt);
     }
     if (!opt.all_workloads && opt.workload.empty() &&

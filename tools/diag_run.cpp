@@ -23,8 +23,8 @@
  *                                 the static bound model (diag engine,
  *                                 workload mode)
  *     --obs                       report skip-idle fast-path coverage
- *                                 (batched fraction, probe outcomes,
- *                                 per-reason disqualifications)
+ *                                 (serial vs simt activations,
+ *                                 closed-form vs iterative simt trips)
  *     --obs-json FILE             byte-stable self-profile JSON dump
  *
  * With a .s file, the program is assembled and run; with --workload,
@@ -40,7 +40,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -152,27 +151,11 @@ printObs(const obs::SimProfile &p)
         return static_cast<unsigned long long>(v);
     };
     std::printf("-- skip-idle coverage --\n");
-    std::printf("batched fraction    %.4f\n", p.batchedFraction());
-    std::printf("batched iterations  %llu (%llu insts over %llu "
-                "jumps)\n",
-                u(p.batched_iterations), u(p.batched_insts),
-                u(p.batch_jumps));
     std::printf("dense activations   %llu\n", u(p.dense_activations));
     std::printf("simt activations    %llu (%llu closed-form, %llu "
                 "iterative regions)\n",
                 u(p.simt_activations), u(p.simt_closed_form),
                 u(p.simt_iterative));
-    std::printf("probes              %llu attempts, %llu misses, "
-                "%llu blacklisted\n",
-                u(p.probe_attempts), u(p.probe_misses),
-                u(p.probe_blacklisted));
-    std::printf("lines batchable     %llu\n", u(p.lines_batchable));
-    std::printf("disqualified        %llu\n",
-                u(p.disqualifiedTotal()));
-    for (unsigned r = 0; r < obs::kReasonCount; ++r)
-        if (p.disqualified[r] > 0)
-            std::printf("  %-18s %llu\n", obs::batchReasonName(r),
-                        u(p.disqualified[r]));
 }
 
 /** Byte-stable self-profile dump for CI and the bench context. */
@@ -431,11 +414,7 @@ goldenDiff(const Program &prog, u64 max_insts,
 int
 runFile(const Options &opt)
 {
-    std::ifstream in(opt.file);
-    fatal_if(!in.good(), "cannot open '%s'", opt.file.c_str());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const Program prog = assembler::assemble(ss.str());
+    const Program prog = harness::readAsmFile(opt.file).program;
 
     u32 final_regs[isa::kNumRegs] = {};
     SparseMemory mem;

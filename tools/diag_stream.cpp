@@ -33,8 +33,6 @@
  * either under --werror), 1 otherwise, 2 when no input was given.
  */
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,12 +202,9 @@ main(int argc, char **argv)
         addWorkload(workloads::findWorkload(opt.workload));
     }
     for (const std::string &file : opt.files) {
-        std::ifstream in(file);
-        fatal_if(!in.good(), "cannot open '%s'", file.c_str());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        units.push_back({file, ss.str(), workloads::Workload{},
-                         /*simt=*/false, /*abi_entry=*/false});
+        units.push_back({file, harness::readAsmFile(file).source,
+                         workloads::Workload{}, /*simt=*/false,
+                         /*abi_entry=*/false});
     }
 
     std::vector<UnitResult> results =

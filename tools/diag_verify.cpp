@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -229,11 +228,8 @@ main(int argc, char **argv)
         addWorkload(workloads::findWorkload(opt.workload));
     }
     for (const std::string &file : opt.files) {
-        std::ifstream in(file);
-        fatal_if(!in.good(), "cannot open '%s'", file.c_str());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        units.push_back({file, ss.str(), {}, /*abi_entry=*/false});
+        units.push_back({file, harness::readAsmFile(file).source, {},
+                         /*abi_entry=*/false});
     }
 
     std::vector<UnitResult> results = host::parallelMap<UnitResult>(
