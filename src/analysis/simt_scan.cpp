@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "analysis/cfg.hpp"
+#include "analysis/lint.hpp"
 #include "common/bits.hpp"
 #include "isa/decoder.hpp"
 
@@ -120,6 +122,33 @@ scanSimtRegion(Addr simt_s_pc, const SparseMemory &mem,
         }
     }
     return scan;
+}
+
+std::vector<SimtRegion>
+pipelinableRegions(const Cfg &cfg, const Program &prog,
+                   const LintOptions &opt)
+{
+    std::vector<SimtRegion> regions;
+    if (!opt.simt_enabled)
+        return regions;
+    for (const auto &[pc, di] : cfg.insts) {
+        if (di.op != Op::SIMT_S)
+            continue;
+        const SimtScan scan = scanSimtRegion(
+            pc, prog.image, opt.line_bytes, opt.clusters_per_ring);
+        if (scan.ok())
+            regions.push_back({pc, scan});
+    }
+    return regions;
+}
+
+bool
+inRegion(const std::vector<SimtRegion> &regions, Addr pc)
+{
+    for (const SimtRegion &r : regions)
+        if (pc >= r.simt_s_pc && pc <= r.scan.simt_e_pc)
+            return true;
+    return false;
 }
 
 } // namespace diag::analysis

@@ -9,11 +9,21 @@
 #ifndef DIAG_ANALYSIS_SIMT_SCAN_HPP
 #define DIAG_ANALYSIS_SIMT_SCAN_HPP
 
+#include <vector>
+
 #include "common/sparse_mem.hpp"
 #include "isa/inst.hpp"
 
+namespace diag
+{
+struct Program;
+}
+
 namespace diag::analysis
 {
+
+struct Cfg;
+struct LintOptions;
 
 /** Outcome of scanning one candidate region. */
 struct SimtScan
@@ -64,6 +74,25 @@ const char *simtScanStatusName(SimtScan::Status s);
 SimtScan scanSimtRegion(Addr simt_s_pc, const SparseMemory &mem,
                         unsigned line_bytes,
                         unsigned clusters_per_ring);
+
+/** One pipelinable region: its simt_s and the scan that admitted it. */
+struct SimtRegion
+{
+    Addr simt_s_pc = 0;
+    SimtScan scan;
+};
+
+/**
+ * The pipelinable regions opened by the reachable simt_s of @p cfg, in
+ * pc order; none when @p opt disables simt. Regions that fail the scan
+ * serialize, so the analyzers treat their bodies as ordinary code.
+ */
+std::vector<SimtRegion> pipelinableRegions(const Cfg &cfg,
+                                           const Program &prog,
+                                           const LintOptions &opt);
+
+/** True iff @p pc lies in [simt_s, simt_e] of one of @p regions. */
+bool inRegion(const std::vector<SimtRegion> &regions, Addr pc);
 
 } // namespace diag::analysis
 

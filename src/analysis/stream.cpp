@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "analysis/absint.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/simt_scan.hpp"
+#include "analysis/value_numbering.hpp"
 #include "common/log.hpp"
 #include "isa/decoder.hpp"
 
@@ -42,240 +42,6 @@ prefetchClassName(PrefetchClass p)
 
 namespace
 {
-
-/**
- * A symbolic value: `scale*term(base) + rc_coeff*i + tid_coeff*tid +
- * offset`, where `i` is the scope's induction index (the rc lane for
- * simt regions, the iteration counter for serial loops) and `tid` is
- * the a0 lane as the scope entered it. base 0 means no opaque part.
- * This extends memdep's SymExpr with the scale (so `slli` on a based
- * value stays linear) and the tid axis.
- */
-struct SVal
-{
-    u32 base = 0;
-    i64 scale = 1;
-    i64 rc = 0;
-    i64 tid = 0;
-    i64 off = 0;
-};
-
-/** Provenance of one opaque term. */
-struct TermMeta
-{
-    unsigned depth = 0; //!< loads on the derivation chain
-    Addr feeder_pc = 0; //!< deepest producing load (0 = none)
-    u32 parent = 0;     //!< term the derivation chain continues through
-    bool invariant = true; //!< fixed across iterations of the scope
-};
-
-/** Value-numbering state over the unified lane file. */
-struct SState
-{
-    std::array<SVal, kNumRegs> reg{};
-    std::vector<TermMeta> meta{TermMeta{}}; //!< meta[0] unused
-    /** (term,scale,term,scale) -> combined term, so two computations
-     *  of the same two-base sum compare equal. */
-    std::map<std::tuple<u32, i64, u32, i64>, u32> combined;
-
-    u32
-    newTerm(const TermMeta &m)
-    {
-        meta.push_back(m);
-        return static_cast<u32>(meta.size() - 1);
-    }
-
-    /** Seed every lane with a distinct invariant term (x0 stays 0).
-     *  Term ids are assigned in register order, so two states seeded
-     *  back to back give the same register the same term id. */
-    void
-    seed()
-    {
-        for (unsigned r = 1; r < kNumRegs; ++r)
-            reg[r] = {newTerm({}), 1, 0, 0, 0};
-    }
-
-    SVal
-    read(RegId r) const
-    {
-        if (r == kNoReg || r == kRegZero)
-            return {0, 1, 0, 0, 0};
-        return reg[r];
-    }
-
-    /** The value is provably the same in every iteration/thread. */
-    bool
-    valInvariant(const SVal &v) const
-    {
-        return v.rc == 0 && v.tid == 0 &&
-               (v.base == 0 || meta[v.base].invariant);
-    }
-
-    unsigned
-    depthOf(const SVal &v) const
-    {
-        return v.base ? meta[v.base].depth : 0;
-    }
-
-    Addr
-    feederOf(const SVal &v) const
-    {
-        return v.base ? meta[v.base].feeder_pc : 0;
-    }
-
-    /** Result of an operation outside the address algebra. */
-    SVal
-    opaque(const SVal &a, const SVal &b)
-    {
-        TermMeta m;
-        const unsigned da = depthOf(a);
-        const unsigned db = depthOf(b);
-        m.depth = std::max(da, db);
-        m.feeder_pc = da >= db ? feederOf(a) : feederOf(b);
-        m.parent = da >= db ? a.base : b.base;
-        m.invariant = valInvariant(a) && valInvariant(b);
-        return {newTerm(m), 1, 0, 0, 0};
-    }
-
-    /** Combined term for `sa*term(ta) + sb*term(tb)` (ADD of two
-     *  based values), memoized for equality of repeated sums. */
-    u32
-    combine(u32 ta, i64 sa, u32 tb, i64 sb)
-    {
-        if (ta > tb || (ta == tb && sa > sb)) {
-            std::swap(ta, tb);
-            std::swap(sa, sb);
-        }
-        const auto key = std::make_tuple(ta, sa, tb, sb);
-        const auto it = combined.find(key);
-        if (it != combined.end())
-            return it->second;
-        TermMeta m;
-        const TermMeta &ma = meta[ta];
-        const TermMeta &mb = meta[tb];
-        m.depth = std::max(ma.depth, mb.depth);
-        m.feeder_pc = ma.depth >= mb.depth ? ma.feeder_pc : mb.feeder_pc;
-        m.parent = ma.depth >= mb.depth ? ta : tb;
-        m.invariant = ma.invariant && mb.invariant;
-        const u32 t = newTerm(m);
-        combined.emplace(key, t);
-        return t;
-    }
-
-    /** Bottom of the derivation chain (a seed term). */
-    u32
-    chainRoot(u32 t) const
-    {
-        while (t != 0 && meta[t].parent != 0)
-            t = meta[t].parent;
-        return t;
-    }
-};
-
-/**
- * Transfer function for non-load instructions: the address-forming
- * subset stays linear, everything else mints an opaque term that
- * remembers depth/feeder/invariance.
- */
-void
-evalNonLoad(SState &st, Addr pc, const DecodedInst &di)
-{
-    if (!di.writesReg())
-        return;
-    const SVal a = st.read(di.rs1);
-    const SVal b = st.read(di.rs2);
-    SVal out;
-    switch (di.op) {
-      case Op::LUI:
-        out = {0, 1, 0, 0, static_cast<i64>(static_cast<u32>(di.imm))};
-        break;
-      case Op::AUIPC:
-        out = {0, 1, 0, 0,
-               static_cast<i64>(pc + static_cast<u32>(di.imm))};
-        break;
-      case Op::ADDI:
-        out = a;
-        out.off += di.imm;
-        break;
-      case Op::ADD:
-        if (a.base == 0)
-            out = {b.base, b.scale, a.rc + b.rc, a.tid + b.tid,
-                   a.off + b.off};
-        else if (b.base == 0)
-            out = {a.base, a.scale, a.rc + b.rc, a.tid + b.tid,
-                   a.off + b.off};
-        else
-            out = {st.combine(a.base, a.scale, b.base, b.scale), 1,
-                   a.rc + b.rc, a.tid + b.tid, a.off + b.off};
-        break;
-      case Op::SUB:
-        if (b.base == 0) {
-            out = a;
-            out.rc -= b.rc;
-            out.tid -= b.tid;
-            out.off -= b.off;
-        } else if (a.base == b.base && a.scale == b.scale) {
-            out = {0, 1, a.rc - b.rc, a.tid - b.tid, a.off - b.off};
-        } else {
-            out = st.opaque(a, b);
-        }
-        break;
-      case Op::SLLI:
-        if (di.imm >= 0 && di.imm < 32)
-            out = {a.base, a.scale << di.imm, a.rc << di.imm,
-                   a.tid << di.imm, a.off << di.imm};
-        else
-            out = st.opaque(a, b);
-        break;
-      default:
-        out = st.opaque(a, b);
-        break;
-    }
-    st.reg[di.rd] = out;
-}
-
-/** One memory access with its reconstructed address value. */
-struct RawAccess
-{
-    Addr pc = 0;
-    SVal ea;
-    u8 size = 0;
-    bool is_store = false;
-};
-
-/**
- * Walk [first, last], collecting accesses and updating @p st. A load
- * mints a non-invariant term one level deeper than its address, with
- * the load pc as feeder — the backbone of indirect/chase detection.
- */
-std::vector<RawAccess>
-walkRange(SState &st, const Program &prog, Addr first, Addr last)
-{
-    std::vector<RawAccess> body;
-    for (Addr pc = first; pc <= last; pc += 4) {
-        const DecodedInst di = decode(prog.word(pc));
-        if (di.isMem()) {
-            RawAccess ra;
-            ra.pc = pc;
-            ra.ea = st.read(di.rs1);
-            ra.ea.off += di.imm;
-            ra.size = di.info().memBytes;
-            ra.is_store = di.isStore();
-            body.push_back(ra);
-            if (di.isLoad() && di.writesReg()) {
-                TermMeta m;
-                m.depth = st.depthOf(ra.ea) + 1;
-                m.feeder_pc = pc;
-                m.parent = ra.ea.base;
-                m.invariant = false;
-                st.reg[di.rd] = {st.newTerm(m), 1, 0, 0, 0};
-            }
-            continue;
-        }
-        evalNonLoad(st, pc, di);
-    }
-    return body;
-}
 
 /**
  * Classify one access's address value against the lattice. @p kinds
@@ -690,25 +456,10 @@ analyzeStreams(const Program &prog, const LintOptions &opt,
     const Cfg cfg = buildCfg(prog, report);
     const AbsIntResult ai = runAbsInt(cfg);
 
-    std::vector<std::pair<Addr, Addr>> region_spans;
-    if (opt.simt_enabled) {
-        for (const auto &[pc, di] : cfg.insts) {
-            if (di.op != Op::SIMT_S)
-                continue;
-            const SimtScan scan = scanSimtRegion(
-                pc, prog.image, opt.line_bytes, opt.clusters_per_ring);
-            if (!scan.ok())
-                continue; // serializes: no pipelined streams
-            region_spans.emplace_back(pc, scan.simt_e_pc);
-            analyzeRegion(prog, opt, pc, scan, ai, out, report);
-        }
-    }
-    const auto in_region = [&](Addr pc) {
-        for (const auto &[lo, hi] : region_spans)
-            if (pc >= lo && pc <= hi)
-                return true;
-        return false;
-    };
+    const std::vector<SimtRegion> regions =
+        pipelinableRegions(cfg, prog, opt);
+    for (const SimtRegion &r : regions)
+        analyzeRegion(prog, opt, r.simt_s_pc, r.scan, ai, out, report);
 
     std::set<std::pair<Addr, Addr>> seen;
     for (const auto &[pc, di] : cfg.insts) {
@@ -717,7 +468,7 @@ analyzeStreams(const Program &prog, const LintOptions &opt,
         if (!backward)
             continue;
         const Addr head = pc + static_cast<u32>(di.imm);
-        if (in_region(pc) || in_region(head))
+        if (inRegion(regions, pc) || inRegion(regions, head))
             continue;
         if (!seen.insert({head, pc}).second)
             continue;

@@ -2,8 +2,8 @@
  * @file
  * diag-verify: an abstract-interpretation program verifier over
  * assembled RV32IMF+SIMT programs. On top of the absint fixpoint and
- * the memdep value numbering it decides, per property, one of three
- * verdicts:
+ * the memdep pass's addresses (value_numbering.hpp) it decides, per
+ * property, one of three verdicts:
  *
  *   Proven   — no execution can violate the property (a proof);
  *   Refuted  — every halting execution violates it (the violating

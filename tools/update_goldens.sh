@@ -3,16 +3,18 @@
 #
 #   tools/update_goldens.sh [build-dir]
 #
-# The snapshot is the diag-bound JSON (lint findings + bound model)
-# for every bundled workload, compared byte-for-byte by the
-# `analysis_goldens` ctest. Rerun this after any intentional change
-# to the analyzer or the workloads, then commit the diff.
+# The snapshots are the diag-bound JSON (lint findings + bound model),
+# the diag-stream JSON and the diag-verify JSON for every bundled
+# workload, compared byte-for-byte by the `analysis_goldens`,
+# `stream_goldens` and `verify_goldens` ctests. Rerun this after any
+# intentional change to the analyzer or the workloads, then commit the
+# diff.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
 
-for tool in diag-bound diag-stream; do
+for tool in diag-bound diag-stream diag-verify; do
     bin="$build/tools-bin/$tool"
     if [[ ! -x "$bin" ]]; then
         echo "error: $bin not built (cmake --build $build)" >&2
@@ -26,4 +28,8 @@ echo "wrote $out ($(wc -c < "$out") bytes)"
 
 out="$repo/tests/golden/stream_all_workloads.json"
 "$build/tools-bin/diag-stream" --all-workloads --json > "$out"
+echo "wrote $out ($(wc -c < "$out") bytes)"
+
+out="$repo/tests/golden/verify_all_workloads.json"
+"$build/tools-bin/diag-verify" --all-workloads --json > "$out"
 echo "wrote $out ($(wc -c < "$out") bytes)"
