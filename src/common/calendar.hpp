@@ -37,15 +37,7 @@ class BusyCalendar
     probe(Cycle now, Cycle occupancy) const
     {
         Cycle t = now;
-        size_t i = 0;
-        while (i < iv_.size() && iv_[i].end <= t)
-            ++i;
-        while (i < iv_.size()) {
-            if (t + occupancy <= iv_[i].start)
-                break;  // the gap before interval i fits
-            t = std::max(t, iv_[i].end);
-            ++i;
-        }
+        firstGap(t, occupancy);
         return t;
     }
 
@@ -57,15 +49,7 @@ class BusyCalendar
     reserve(Cycle now, Cycle occupancy)
     {
         Cycle t = now;
-        size_t i = 0;
-        while (i < iv_.size() && iv_[i].end <= t)
-            ++i;
-        while (i < iv_.size()) {
-            if (t + occupancy <= iv_[i].start)
-                break;  // the gap before interval i fits
-            t = std::max(t, iv_[i].end);
-            ++i;
-        }
+        const size_t i = firstGap(t, occupancy);
         iv_.insert(iv_.begin() + static_cast<long>(i),
                    {t, t + occupancy});
         if (iv_.size() > cap_)
@@ -77,13 +61,8 @@ class BusyCalendar
     bool
     busyAt(Cycle t) const
     {
-        for (const Interval &iv : iv_) {
-            if (iv.start <= t && t < iv.end)
-                return true;
-            if (iv.start > t)
-                break;
-        }
-        return false;
+        const size_t i = firstEndingAfter(t);
+        return i < iv_.size() && iv_[i].start <= t;
     }
 
     void clear() { iv_.clear(); }
@@ -97,8 +76,40 @@ class BusyCalendar
         Cycle end;
     };
 
+    /**
+     * Index of the first interval ending after @p t. The intervals are
+     * disjoint and sorted by start, so their ends are sorted as well
+     * (zero-length ones included) and a binary search finds it.
+     */
+    size_t
+    firstEndingAfter(Cycle t) const
+    {
+        return static_cast<size_t>(
+            std::partition_point(
+                iv_.begin(), iv_.end(),
+                [t](const Interval &iv) { return iv.end <= t; }) -
+            iv_.begin());
+    }
+
+    /**
+     * Advance @p t to the first gap of @p occupancy cycles at or after
+     * it and return the index of the interval the gap precedes.
+     */
+    size_t
+    firstGap(Cycle &t, Cycle occupancy) const
+    {
+        size_t i = firstEndingAfter(t);
+        while (i < iv_.size()) {
+            if (t + occupancy <= iv_[i].start)
+                break;  // the gap before interval i fits
+            t = std::max(t, iv_[i].end);
+            ++i;
+        }
+        return i;
+    }
+
     size_t cap_;
-    std::vector<Interval> iv_;  // sorted by start
+    std::vector<Interval> iv_;  // sorted by start, and so by end
 };
 
 } // namespace diag

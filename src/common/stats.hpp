@@ -2,7 +2,10 @@
  * @file
  * Lightweight named-statistics registry. Components own a StatGroup and
  * register scalar counters in it; the harness and benches walk groups to
- * render tables or feed the energy model.
+ * render tables or feed the energy model. Per-event sites (the OoO
+ * per-instruction loop, DiAG activations and line loads, the caches,
+ * DRAM and bus) increment through StatCounter handles bound once;
+ * string keys are for rare events and keys built at run time.
  */
 #ifndef DIAG_COMMON_STATS_HPP
 #define DIAG_COMMON_STATS_HPP
@@ -148,10 +151,13 @@ class StatGroup
 };
 
 /**
- * Cached handle to one StatGroup counter for per-event hot paths.
- * inc() through a string key costs a map lookup (and a std::string
- * construction at const char* call sites) on every event; a handle
- * costs one epoch compare plus a pointer add once bound.
+ * Cached handle to one StatGroup counter for per-event hot paths. Every
+ * counter incremented once per simulated instruction, activation or
+ * memory access uses one, declared as a member next to the group
+ * reference (the gem5 Stats::Scalar idiom). inc() through a string key
+ * costs a map lookup (and a std::string construction at const char*
+ * call sites) on every event; a handle costs one epoch compare plus a
+ * pointer add once bound.
  *
  * The binding is lazy: the key is created in the group on the first
  * inc(), never before — so "a counter exists iff it was ever

@@ -154,6 +154,15 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         out.exit_resolve = resolve;
         exited = true;
     };
+    // Precise trap at the instruction at @p addr in segment @p seg.
+    auto trap = [&](Addr addr, int seg) {
+        out.faulted = true;
+        const Cycle here =
+            std::max(floor, pc_cursor + laneDelay(pc_seg, seg));
+        pc_cursor = here;
+        pc_seg = seg;
+        finish(ActExit::Halt, addr, here);
+    };
 
     st_activations_.inc();
 
@@ -173,13 +182,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         const int seg = static_cast<int>(i / seg_size);
 
         if (!di.valid()) {
-            // Fault precisely at this instruction.
-            out.faulted = true;
-            const Cycle here =
-                std::max(floor, pc_cursor + laneDelay(pc_seg, seg));
-            pc_cursor = here;
-            pc_seg = seg;
-            finish(ActExit::Halt, addr, here);
+            trap(addr, seg);
             break;
         }
         if (di.op == Op::SIMT_S && in.mode == ActMode::Serial &&
@@ -206,8 +209,11 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 const auto ef = simtEndFields(di);
                 const DecodedInst start_inst =
                     decode(tmc.mem().read32(addr - ef.lOffset));
-                panic_if(start_inst.op != Op::SIMT_S,
-                         "simt_e at 0x%x without matching simt_s", addr);
+                if (start_inst.op != Op::SIMT_S) {
+                    out.stray_simt_e = true;
+                    trap(addr, seg);
+                    break;
+                }
                 const RegId r_step = simtStartFields(start_inst).rStep;
                 ops_ready = std::max(ops_ready, avail(r_step, seg));
                 c_val = lane_value(r_step);

@@ -43,7 +43,7 @@ enum class ActExit : u8
 {
     FellThrough, //!< PC ran off the end of the line
     Redirect,    //!< control transfer out of the cluster
-    Halt,        //!< ebreak/ecall or invalid encoding
+    Halt,        //!< ebreak/ecall or a precise trap
     SimtTrap,    //!< serial mode reached a simt_s (not executed)
     ThreadEnd,   //!< stage mode retired its simt_e
 };
@@ -72,7 +72,9 @@ struct ActivationInput
 struct ActivationOutput
 {
     ActExit exit = ActExit::FellThrough;
-    bool faulted = false;     //!< Halt caused by an invalid encoding
+    bool faulted = false;     //!< Halt caused by a precise trap
+    bool stray_simt_e = false; //!< the trap is a simt_e whose target
+                               //!< is no simt_s (else a bad encoding)
     bool redirect_backward = false;  //!< Redirect target is at or
                                      //!< before the branch (a loop)
     Addr exit_pc = 0;         //!< next PC (or the simt_s PC on SimtTrap)

@@ -19,6 +19,22 @@ namespace diag::core
 
 using namespace diag::isa;
 
+namespace
+{
+
+/** stop_reason of an activation that trapped at its exit pc. */
+std::string
+trapReason(const ActivationOutput &act)
+{
+    if (act.stray_simt_e)
+        return detail::vformat("trap: simt_e at 0x%x without simt_s",
+                               act.exit_pc);
+    return detail::vformat("trap: invalid encoding at pc 0x%x",
+                           act.exit_pc);
+}
+
+} // namespace
+
 Ring::Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
            mem::Bus &bus, StatGroup &stats)
     : cfg_(cfg), index_(index), mh_(mh), bus_(bus), stats_(stats),
@@ -82,7 +98,7 @@ Ring::disableCluster(Cluster &cl)
         resident_.erase(it);
     cl.evict();
     cl.disabled = true;
-    stats_.inc("clusters_disabled");
+    st_clusters_disabled_.inc();
     if (faults_)
         faults_->noteClusterDisabled();
     warn("ring%u: cluster %u disabled after repeated faults; "
@@ -129,8 +145,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
     // The cluster must finish draining before it can be re-loaded.
     const Cycle start = std::max(when, cl.free_at);
     if (cl.free_at > when)
-        stats_.inc("other_stall_cycles",
-                   static_cast<double>(cl.free_at - when));
+        st_other_stall_cycles_.inc(
+            static_cast<double>(cl.free_at - when));
     // I-cache line fetch, delivery over the shared 512-bit bus, and
     // one decode cycle (paper §5.1.1).
     const mem::MemResult res = mh_.fetchLine(0, line, start);
@@ -139,7 +155,7 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
         grant + cfg_.bus_iline_transfer + cfg_.decode_latency;
 
     if (cl.last_use == 0)
-        stats_.inc("clusters_used");  // first use: un-gates its lanes
+        st_clusters_used_.inc();  // first use: un-gates its lanes
     cl.line_base = line;
     cl.ready_at = ready;
     cl.last_use = ++use_counter_;
@@ -156,8 +172,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
             break;
         }
     }
-    stats_.inc("iline_fetches");
-    stats_.inc("decodes", cfg_.pes_per_cluster);
+    st_iline_fetches_.inc();
+    st_decodes_.inc(cfg_.pes_per_cluster);
     return ready;
 }
 
@@ -188,7 +204,7 @@ Ring::prefetch(Addr line, Cycle when, SparseMemory &mem)
     if (resident_.count(line))
         return;
     ensureLoaded(line, when, mem);
-    stats_.inc("prefetches");
+    st_prefetches_.inc();
 }
 
 ThreadResult
@@ -417,8 +433,7 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
             res.faulted = act.faulted;
             res.stop_pc = act.exit_pc;
             if (act.faulted)
-                res.stop_reason = detail::vformat(
-                    "trap: invalid encoding at pc 0x%x", act.exit_pc);
+                res.stop_reason = trapReason(act);
             res.final_regs = regs;
             return res;
           case ActExit::SimtTrap: {
@@ -509,9 +524,7 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                     res.faulted = act2.faulted;
                     res.stop_pc = act2.exit_pc;
                     if (act2.faulted)
-                        res.stop_reason = detail::vformat(
-                            "trap: invalid encoding at pc 0x%x",
-                            act2.exit_pc);
+                        res.stop_reason = trapReason(act2);
                     res.final_regs = regs;
                     return res;
                 }

@@ -164,11 +164,18 @@ class Ring
     u64 use_counter_ = 0;
     u32 line_bytes_;
 
-    // Lazy-bound counter handles for the per-activation hot path.
+    // Lazy-bound counter handles for the per-activation and line-load
+    // hot paths.
     StatCounter st_reuse_activations_{stats_, "reuse_activations"};
     StatCounter st_fetch_wait_cycles_{stats_, "fetch_wait_cycles"};
     StatCounter st_reuse_redirects_{stats_, "reuse_redirects"};
     StatCounter st_ctrl_stall_cycles_{stats_, "ctrl_stall_cycles"};
+    StatCounter st_iline_fetches_{stats_, "iline_fetches"};
+    StatCounter st_decodes_{stats_, "decodes"};
+    StatCounter st_other_stall_cycles_{stats_, "other_stall_cycles"};
+    StatCounter st_clusters_used_{stats_, "clusters_used"};
+    StatCounter st_prefetches_{stats_, "prefetches"};
+    StatCounter st_clusters_disabled_{stats_, "clusters_disabled"};
     fault::FaultController *faults_ = nullptr; //!< null = no injection
     trace::Tracer *trc_ = nullptr;             //!< null = tracing off
     trace::AddrTrace *atrc_ = nullptr;         //!< null = no addr log

@@ -30,7 +30,11 @@ GoldenSim::step()
     info.pc = pc_;
     const DecodedInst &di = decodeAt(pc_);
     info.inst = di;
-    if (!di.valid()) {
+    // Precise traps: an invalid encoding, or a simt_e whose target is
+    // not a simt_s (its scalar semantics need that simt_s's step).
+    if (!di.valid() ||
+        (di.op == Op::SIMT_E &&
+         decodeAt(pc_ - simtEndFields(di).lOffset).op != Op::SIMT_S)) {
         info.faulted = true;
         info.halted = true;
         halted_ = true;
@@ -61,11 +65,8 @@ GoldenSim::step()
         u32 c = 0;
         if (di.op == Op::SIMT_E) {
             // Recover the step register from the matching simt_s.
-            const auto ef = simtEndFields(di);
-            const DecodedInst &start = decodeAt(pc_ - ef.lOffset);
-            fatal_if(start.op != Op::SIMT_S,
-                     "simt_e at 0x%x: no simt_s at 0x%x", pc_,
-                     pc_ - ef.lOffset);
+            const DecodedInst &start =
+                decodeAt(pc_ - simtEndFields(di).lOffset);
             c = reg(simtStartFields(start).rStep);
         } else if (di.rs3 != kNoReg) {
             c = reg(di.rs3);
@@ -105,6 +106,15 @@ GoldenSim::run(u64 max_insts)
             res.halted = !info.faulted;
             res.faulted = info.faulted;
             res.stop_pc = info.pc;
+            if (info.faulted)
+                res.stop_reason =
+                    info.inst.valid()
+                        ? detail::vformat(
+                              "trap: simt_e at 0x%x without simt_s",
+                              info.pc)
+                        : detail::vformat(
+                              "trap: invalid encoding at pc 0x%x",
+                              info.pc);
             break;
         }
     }

@@ -8,6 +8,7 @@
 #define DIAG_SIM_GOLDEN_HPP
 
 #include <functional>
+#include <string>
 #include <unordered_map>
 
 #include "asm/program.hpp"
@@ -31,7 +32,8 @@ struct StepInfo
     Addr mem_addr = 0;
     u32 mem_value = 0;         //!< loaded or stored value
     bool halted = false;       //!< EBREAK/ECALL reached
-    bool faulted = false;      //!< undecodable instruction reached
+    bool faulted = false;      //!< precise trap: undecodable
+                               //!< instruction or stray simt_e
 };
 
 /** Outcome of a run() call. */
@@ -39,8 +41,9 @@ struct RunResult
 {
     u64 inst_count = 0;  //!< retired instructions
     bool halted = false; //!< reached EBREAK/ECALL
-    bool faulted = false;//!< hit an invalid encoding
+    bool faulted = false;//!< hit a precise trap
     Addr stop_pc = 0;    //!< PC of the halting/faulting instruction
+    std::string stop_reason; //!< one-line trap description if faulted
 };
 
 /**

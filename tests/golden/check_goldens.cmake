@@ -1,9 +1,14 @@
-# Diff an analyzer tool's JSON for every bundled workload against the
+# Diff a tool's output for every bundled workload against the
 # checked-in snapshot. Regenerate with tools/update_goldens.sh.
-#   -DTOOL=<binary>   the analyzer to run (--all-workloads --json)
+#   -DTOOL=<binary>   the tool to run
+#   -DARGS=<arg>      its argument (default: the analyzers'
+#                     --all-workloads --json)
 #   -DGOLDEN=<file>   the snapshot to compare byte-for-byte
+if(NOT DEFINED ARGS)
+    set(ARGS --all-workloads --json)
+endif()
 execute_process(
-    COMMAND ${TOOL} --all-workloads --json
+    COMMAND ${TOOL} ${ARGS}
     OUTPUT_VARIABLE actual
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -14,7 +19,7 @@ if(NOT actual STREQUAL expected)
     string(LENGTH "${actual}" alen)
     string(LENGTH "${expected}" elen)
     message(FATAL_ERROR
-        "analysis output diverged from ${GOLDEN} "
+        "${TOOL} output diverged from ${GOLDEN} "
         "(${alen} vs ${elen} bytes); if the change is intentional, "
         "run tools/update_goldens.sh <build-dir> and commit the diff")
 endif()

@@ -44,6 +44,27 @@ TEST(OooCore, SumLoopMatchesGolden)
     EXPECT_GT(rs.ipc(), 0.5);
 }
 
+TEST(OooCore, StraySimtETrapsPrecisely)
+{
+    const Program p = asmProgram(R"(
+        _start:
+            li a0, 0
+            li a2, 4
+        head:
+            addi s0, s0, 1
+            simt_e a0, a2, head
+            ebreak
+    )");
+    OooProcessor proc(OooConfig::baseline8());
+    const sim::RunStats rs = proc.run(p);
+    EXPECT_TRUE(rs.faulted);
+    EXPECT_FALSE(rs.halted);
+    EXPECT_EQ(rs.instructions, 3u);
+    EXPECT_NE(rs.stop_reason.find("trap: simt_e at 0x100c without simt_s"),
+              std::string::npos)
+        << rs.stop_reason;
+}
+
 TEST(OooCore, IlpKernelReachesHighIpc)
 {
     // 24 independent chains incremented in a loop (warm I-cache and

@@ -217,6 +217,28 @@ TEST(Golden, HaltsOnInvalid)
     EXPECT_EQ(r.inst_count, 0u);
 }
 
+TEST(Golden, StraySimtETrapsPrecisely)
+{
+    // A simt_e whose target is not a simt_s assembles, but its scalar
+    // semantics have no step register: a precise trap, not an exit.
+    const Program p = assemble(R"(
+        _start:
+            li a0, 0
+            li a2, 4
+        head:
+            addi s0, s0, 1
+            simt_e a0, a2, head
+            ebreak
+    )");
+    GoldenSim sim(p);
+    const RunResult r = sim.run(100);
+    EXPECT_TRUE(r.faulted);
+    EXPECT_FALSE(r.halted);
+    EXPECT_EQ(r.inst_count, 3u);
+    EXPECT_EQ(r.stop_pc, 0x100cu);
+    EXPECT_EQ(r.stop_reason, "trap: simt_e at 0x100c without simt_s");
+}
+
 TEST(Golden, MaxInstLimit)
 {
     const Program p = assemble("_start: j _start\n");

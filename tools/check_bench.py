@@ -4,13 +4,14 @@
 Two inputs, either or both:
 
   * --suite FILE: the saved stdout of
-        python3 suitebench/run.py --workload diag-suite --seed 1 \\
+        python3 suitebench/run.py --workload WORKLOAD --seed 1 \\
             --seconds 30 --trace 0
-    Its last JSON line is the result. Fails (exit 1) when any
+    The workload is read from its "# suitebench workload=" header and
+    its last JSON line is the result. Fails (exit 1) when any
     operation failed, or when the calibrated sim_inst_per_s is below
-    the floor. The default floor is FLOOR_FRACTION of the
-    diag-suite sim_inst_per_s median in suitebench/BASELINE.json;
-    --floor overrides it with an absolute rate.
+    the floor. The default floor is FLOOR_FRACTION of that workload's
+    sim_inst_per_s median in suitebench/BASELINE.json; --floor
+    overrides it with an absolute rate.
   * BENCH_JSON: a bench_sim_speed --benchmark_out JSON file. Fails
     when the timing library self-reports a debug build, or the
     simulator under test was not optimized (the numbers would measure
@@ -30,12 +31,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 import bench_trajectory
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(ROOT, "suitebench", "BASELINE.json")
-SUITE_WORKLOAD = "diag-suite"
+HEADER = "# suitebench workload="
 # Fraction of the baseline median the calibrated rate must reach.
 FLOOR_FRACTION = 0.5
 
@@ -56,33 +58,44 @@ def last_json_line(text: str, where: str) -> dict:
     fail(f"{where}: no JSON result line")
 
 
-def baseline_floor() -> float:
+def suite_workload(text: str, where: str) -> str:
+    for line in text.splitlines():
+        if line.startswith(HEADER):
+            return line[len(HEADER):].split()[0]
+    fail(f"{where}: no '{HEADER}' header line")
+
+
+def baseline_floor(workload: str) -> float:
     with open(BASELINE) as f:
         doc = json.load(f)
     try:
-        median = (doc["end_to_end"][SUITE_WORKLOAD]["summary"]
+        median = (doc["end_to_end"][workload]["summary"]
                   ["sim_inst_per_s"]["median"])
     except (KeyError, TypeError):
-        fail(f"{BASELINE}: no {SUITE_WORKLOAD} sim_inst_per_s median")
+        fail(f"{BASELINE}: no {workload} sim_inst_per_s median")
     return FLOOR_FRACTION * median
 
 
-def check_suite(path: str, floor: float) -> None:
+def check_suite(path: str, floor: Optional[float]) -> None:
     with open(path) as f:
-        res = last_json_line(f.read(), path)
+        text = f.read()
+    workload = suite_workload(text, path)
+    res = last_json_line(text, path)
+    if floor is None:
+        floor = baseline_floor(workload)
     failed = res.get("failed")
     rate = res.get("metrics", {}).get("sim_inst_per_s", {}).get("value")
     if failed is None or rate is None:
         fail(f"{path}: result lacks 'failed' or "
              f"'metrics.sim_inst_per_s.value'")
-    print(f"check_bench: {SUITE_WORKLOAD} {res.get('attempted')} ops, "
+    print(f"check_bench: {workload} {res.get('attempted')} ops, "
           f"{failed} failed")
-    print(f"check_bench: {SUITE_WORKLOAD} sim_inst_per_s {rate:.3e} "
+    print(f"check_bench: {workload} sim_inst_per_s {rate:.3e} "
           f"(floor {floor:.3e})")
     if failed > 0 or not res.get("correct", False):
-        fail(f"{SUITE_WORKLOAD}: {failed} operations failed")
+        fail(f"{workload}: {failed} operations failed")
     if rate < floor:
-        fail(f"{SUITE_WORKLOAD} sim_inst_per_s {rate:.3e} below the "
+        fail(f"{workload} sim_inst_per_s {rate:.3e} below the "
              f"{floor:.3e} floor")
 
 
@@ -110,10 +123,11 @@ def main() -> None:
     ap.add_argument("bench_json", nargs="?", default=None,
                     help="bench_sim_speed --benchmark_out JSON")
     ap.add_argument("--suite", default=None,
-                    help="saved suitebench diag-suite stdout")
+                    help="saved suitebench --trace 0 stdout")
     ap.add_argument("--floor", type=float, default=None,
-                    help="minimum diag-suite sim_inst_per_s (default: "
-                         f"{FLOOR_FRACTION} x the baseline median)")
+                    help="minimum sim_inst_per_s (default: "
+                         f"{FLOOR_FRACTION} x the workload's baseline "
+                         "median)")
     ap.add_argument("--trajectory", default=None,
                     help="also validate this BENCH_trajectory.json "
                          "(absent file tolerated)")
@@ -136,9 +150,7 @@ def main() -> None:
     if args.bench_json is not None:
         check_micro(args.bench_json)
     if args.suite is not None:
-        floor = (args.floor if args.floor is not None
-                 else baseline_floor())
-        check_suite(args.suite, floor)
+        check_suite(args.suite, args.floor)
     print("check_bench: PASS")
 
 

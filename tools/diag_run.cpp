@@ -333,8 +333,7 @@ runProgram(const Options &opt, const Program &prog,
         rs.halted = r.halted;
         rs.faulted = r.faulted;
         if (r.faulted)
-            rs.stop_reason = detail::vformat(
-                "golden fault at pc 0x%x", r.stop_pc);
+            rs.stop_reason = r.stop_reason;
         else if (!r.halted)
             rs.timed_out = true;
         for (unsigned i = 0; i < isa::kNumRegs; ++i)
