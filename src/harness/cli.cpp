@@ -11,6 +11,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
+#include "harness/runner.hpp"
 
 namespace diag::harness
 {
@@ -78,7 +79,8 @@ ArgParser::operands(std::vector<std::string> *target)
 ArgParser &
 ArgParser::configFlag(std::string *target)
 {
-    return option("--config", target, "I4C2|F4C2|F4C16|F4C32",
+    return option("--config", target,
+                  "I4C2|F4C2|F4C16|F4C32|F4C32-16x2|F4C32-8x4-simt",
                   "DiAG preset (default " + *target + ")");
 }
 
@@ -254,6 +256,10 @@ tryConfigByName(const std::string &name, core::DiagConfig *out)
         *out = core::DiagConfig::f4c16();
     else if (name == "F4C32")
         *out = core::DiagConfig::f4c32();
+    else if (name == "F4C32-16x2")
+        *out = diagMultiThreadConfig();
+    else if (name == "F4C32-8x4-simt")
+        *out = diagMtSimtConfig();
     else
         return false;
     return true;

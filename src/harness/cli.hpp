@@ -113,7 +113,8 @@ class ArgParser
 
 /**
  * The DiAG preset named on a --config flag (I4C2, F4C2, F4C16,
- * F4C32); fatal() on anything else. Shared by every tool.
+ * F4C32, and the multi-thread arrangements F4C32-16x2 and
+ * F4C32-8x4-simt); fatal() on anything else. Shared by every tool.
  */
 core::DiagConfig configByName(const std::string &name);
 

@@ -7,7 +7,8 @@
 # the diag-stream JSON and the diag-verify JSON for every bundled
 # workload, compared byte-for-byte by the `analysis_goldens`,
 # `stream_goldens` and `verify_goldens` ctests, and the engine
-# snapshot (tools/engine_goldens.sh) compared by `engine_goldens`.
+# snapshots (tools/engine_goldens.sh, tools/engine_mt_goldens.sh)
+# compared by `engine_goldens` and `engine_mt_goldens`.
 # Rerun this after any intentional change to the analyzers, the
 # engines' simulated numbers or the workloads, then commit the diff.
 set -euo pipefail
@@ -37,4 +38,8 @@ echo "wrote $out ($(wc -c < "$out") bytes)"
 
 out="$repo/tests/golden/engine_all_workloads.txt"
 "$repo/tools/engine_goldens.sh" "$build/tools-bin/diag-run" > "$out"
+echo "wrote $out ($(wc -c < "$out") bytes)"
+
+out="$repo/tests/golden/engine_mt_all_workloads.txt"
+"$repo/tools/engine_mt_goldens.sh" "$build/tools-bin/diag-run" > "$out"
 echo "wrote $out ($(wc -c < "$out") bytes)"
