@@ -43,6 +43,13 @@ jsonEscape(const std::string &s)
 }
 
 void
+StatCounter::rebind()
+{
+    slot_ = group_->slot(key_);
+    epoch_ = group_->epoch();
+}
+
+void
 StatGroup::dumpJson(std::ostream &os) const
 {
     os << "{\"group\": \"" << jsonEscape(name_)

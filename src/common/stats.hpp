@@ -154,18 +154,24 @@ class StatGroup
  * Cached handle to one StatGroup counter for per-event hot paths. Every
  * counter incremented once per simulated instruction, activation or
  * memory access uses one, declared as a member next to the group
- * reference (the gem5 Stats::Scalar idiom). inc() through a string key
- * costs a map lookup (and a std::string construction at const char*
- * call sites) on every event; a handle costs one epoch compare plus a
- * pointer add once bound.
+ * reference (the gem5 Stats::Scalar idiom).
  *
- * The binding is lazy: the key is created in the group on the first
- * inc(), never before — so "a counter exists iff it was ever
- * incremented" (and with it the byte-stable dumpJson key set) is
- * preserved exactly. read() never creates the key either. The handle
- * re-binds automatically after StatGroup::clear(false) via the
- * group's epoch. @p key must have static storage duration (string
- * literals at every call site in-tree).
+ * Handle contract:
+ * - inc() is an always-inline epoch compare plus a double add once
+ *   bound; the string key is touched only by the out-of-line cold
+ *   rebind() (first use, and after the group dropped its key set), so
+ *   no per-event call builds a std::string or walks the map.
+ * - The binding is lazy: the key is created in the group on the first
+ *   inc(), never before, so "a counter exists iff it was ever
+ *   incremented" (and with it the byte-stable dumpJson key set) holds
+ *   exactly as with StatGroup::inc. read() never creates the key.
+ * - StatGroup::clear(false) advances the group's epoch; every handle
+ *   re-binds on its next inc() and counts from zero. clear(true) only
+ *   zeroes the values, so bound handles stay bound.
+ * - Several handles may name one key; their increments add up in the
+ *   one map slot.
+ * - @p key must have static storage duration (string literals at every
+ *   call site in-tree).
  */
 class StatCounter
 {
@@ -175,13 +181,11 @@ class StatCounter
     {}
 
     /** Add @p delta (default 1) to the bound counter. */
-    void
+    [[gnu::always_inline]] void
     inc(double delta = 1.0)
     {
-        if (epoch_ != group_->epoch()) {
-            slot_ = group_->slot(key_);
-            epoch_ = group_->epoch();
-        }
+        if (epoch_ != group_->epoch()) [[unlikely]]
+            rebind();
         *slot_ += delta;
     }
 
@@ -195,6 +199,9 @@ class StatCounter
     }
 
   private:
+    /** Bind to the group's (possibly new) slot for the key. */
+    [[gnu::noinline, gnu::cold]] void rebind();
+
     StatGroup *group_;
     const char *key_;
     double *slot_ = nullptr;

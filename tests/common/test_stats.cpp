@@ -1,7 +1,8 @@
 /**
  * @file
  * StatGroup serialization and lifecycle: the byte-stable JSON dump
- * (golden-file regression), key escaping, and the two clear() modes.
+ * (golden-file regression), key escaping, the two clear() modes, and
+ * the StatCounter handle contract.
  */
 #include <fstream>
 #include <sstream>
@@ -105,6 +106,76 @@ TEST(StatsClear, MergeAfterClearStartsFresh)
     g.merge(other);
     EXPECT_EQ(g.get("activations"), 10.0);
     EXPECT_EQ(g.get("ipc"), 0.0);  // retained key, still zero
+}
+
+TEST(StatCounter, KeyIsAbsentUntilTheFirstInc)
+{
+    StatGroup g("g");
+    StatCounter c(g, "events");
+    EXPECT_FALSE(g.has("events"));
+    c.inc();
+    EXPECT_TRUE(g.has("events"));
+    c.inc(2.5);
+    EXPECT_EQ(g.get("events"), 3.5);
+    EXPECT_EQ(g.all().size(), 1u);
+}
+
+TEST(StatCounter, ReadNeverCreatesTheKey)
+{
+    StatGroup g("g");
+    StatCounter c(g, "events");
+    EXPECT_EQ(c.read(), 0.0);
+    EXPECT_FALSE(g.has("events"));
+    // A value written through the group is visible before binding.
+    g.set("events", 7);
+    EXPECT_EQ(c.read(), 7.0);
+    c.inc();
+    EXPECT_EQ(c.read(), 8.0);
+}
+
+TEST(StatCounter, RebindsAndCountsFromZeroAfterDroppingKeys)
+{
+    StatGroup g("g");
+    StatCounter c(g, "events");
+    c.inc(5);
+    g.clear(/*retain_keys=*/false);
+    EXPECT_FALSE(g.has("events"));
+    EXPECT_EQ(c.read(), 0.0);
+    EXPECT_FALSE(g.has("events"));
+    c.inc();
+    EXPECT_TRUE(g.has("events"));
+    EXPECT_EQ(g.get("events"), 1.0);
+    EXPECT_EQ(c.read(), 1.0);
+}
+
+TEST(StatCounter, RetainingClearKeepsTheBinding)
+{
+    StatGroup g("g");
+    StatCounter c(g, "events");
+    c.inc(5);
+    const u64 epoch = g.epoch();
+    g.clear(/*retain_keys=*/true);
+    EXPECT_EQ(g.epoch(), epoch);
+    EXPECT_TRUE(g.has("events"));
+    EXPECT_EQ(c.read(), 0.0);
+    c.inc(2);
+    EXPECT_EQ(g.get("events"), 2.0);
+    EXPECT_EQ(g.all().size(), 1u);
+}
+
+TEST(StatCounter, TwoHandlesOnOneKeyAddUp)
+{
+    StatGroup g("g");
+    StatCounter a(g, "events");
+    StatCounter b(g, "events");
+    a.inc();
+    b.inc(2);
+    a.inc(3);
+    g.inc("events", 4);
+    EXPECT_EQ(g.get("events"), 10.0);
+    EXPECT_EQ(a.read(), 10.0);
+    EXPECT_EQ(b.read(), 10.0);
+    EXPECT_EQ(g.all().size(), 1u);
 }
 
 } // namespace
