@@ -7,6 +7,7 @@
 #ifndef DIAG_COMMON_SPARSE_MEM_HPP
 #define DIAG_COMMON_SPARSE_MEM_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
@@ -58,6 +59,10 @@ class SparseMemory
     u16
     read16(Addr addr) const
     {
+        if (inPage(addr, 2)) {
+            const Page *p = findPage(addr);
+            return p ? static_cast<u16>(load(*p, addr, 2)) : 0;
+        }
         return static_cast<u16>(read8(addr)) |
                (static_cast<u16>(read8(addr + 1)) << 8);
     }
@@ -65,6 +70,10 @@ class SparseMemory
     void
     write16(Addr addr, u16 value)
     {
+        if (inPage(addr, 2)) {
+            store(page(addr), addr, value, 2);
+            return;
+        }
         write8(addr, static_cast<u8>(value));
         write8(addr + 1, static_cast<u8>(value >> 8));
     }
@@ -72,6 +81,10 @@ class SparseMemory
     u32
     read32(Addr addr) const
     {
+        if (inPage(addr, 4)) {
+            const Page *p = findPage(addr);
+            return p ? load(*p, addr, 4) : 0;
+        }
         return static_cast<u32>(read16(addr)) |
                (static_cast<u32>(read16(addr + 2)) << 16);
     }
@@ -79,6 +92,10 @@ class SparseMemory
     void
     write32(Addr addr, u32 value)
     {
+        if (inPage(addr, 4)) {
+            store(page(addr), addr, value, 4);
+            return;
+        }
         write16(addr, static_cast<u16>(value));
         write16(addr + 2, static_cast<u16>(value >> 16));
     }
@@ -109,16 +126,31 @@ class SparseMemory
     writeBlock(Addr addr, const void *src, size_t len)
     {
         const u8 *bytes = static_cast<const u8 *>(src);
-        for (size_t i = 0; i < len; ++i)
-            write8(addr + static_cast<Addr>(i), bytes[i]);
+        while (len > 0) {
+            const size_t off = addr & (kPageSize - 1);
+            const size_t n = std::min<size_t>(len, kPageSize - off);
+            std::memcpy(page(addr).data() + off, bytes, n);
+            addr += static_cast<Addr>(n);
+            bytes += n;
+            len -= n;
+        }
     }
 
     void
     readBlock(Addr addr, void *dst, size_t len) const
     {
         u8 *bytes = static_cast<u8 *>(dst);
-        for (size_t i = 0; i < len; ++i)
-            bytes[i] = read8(addr + static_cast<Addr>(i));
+        while (len > 0) {
+            const size_t off = addr & (kPageSize - 1);
+            const size_t n = std::min<size_t>(len, kPageSize - off);
+            if (const Page *p = findPage(addr))
+                std::memcpy(bytes, p->data() + off, n);
+            else
+                std::memset(bytes, 0, n);
+            addr += static_cast<Addr>(n);
+            bytes += n;
+            len -= n;
+        }
     }
 
     /** Number of resident pages (for tests / footprint reporting). */
@@ -138,6 +170,33 @@ class SparseMemory
 
   private:
     using Page = std::array<u8, kPageSize>;
+
+    /** The @p bytes at @p addr lie inside one page (one lookup). */
+    static bool
+    inPage(Addr addr, unsigned bytes)
+    {
+        return (addr & (kPageSize - 1)) <= kPageSize - bytes;
+    }
+
+    /** Little-endian load of @p bytes within one page. */
+    static u32
+    load(const Page &p, Addr addr, unsigned bytes)
+    {
+        const u8 *b = p.data() + (addr & (kPageSize - 1));
+        u32 v = 0;
+        for (unsigned i = 0; i < bytes; ++i)
+            v |= static_cast<u32>(b[i]) << (8 * i);
+        return v;
+    }
+
+    /** Little-endian store of the low @p bytes within one page. */
+    static void
+    store(Page &p, Addr addr, u32 value, unsigned bytes)
+    {
+        u8 *b = p.data() + (addr & (kPageSize - 1));
+        for (unsigned i = 0; i < bytes; ++i)
+            b[i] = static_cast<u8>(value >> (8 * i));
+    }
 
     const Page *
     findPage(Addr addr) const

@@ -103,3 +103,91 @@ TEST(SparseMemory, ForEachPageVisitsEveryResidentBase)
     EXPECT_EQ(bases[1], 0x5000u);
     EXPECT_EQ(bases[2], 0xa0000u);
 }
+
+namespace
+{
+
+/** Byte-at-a-time little-endian reference for read16/read32. */
+u32
+referenceRead(const SparseMemory &mem, Addr addr, unsigned bytes)
+{
+    u32 v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= static_cast<u32>(mem.read8(addr + i)) << (8 * i);
+    return v;
+}
+
+/** Byte-at-a-time little-endian reference for write16/write32. */
+void
+referenceWrite(SparseMemory &mem, Addr addr, u32 value, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        mem.write8(addr + i, static_cast<u8>(value >> (8 * i)));
+}
+
+/** Page 1 filled with a byte pattern; page 2 resident or not. */
+SparseMemory
+patternedPages(bool neighbour_resident)
+{
+    SparseMemory mem;
+    const Addr page = SparseMemory::kPageSize;
+    for (Addr a = page; a < 2 * page; ++a)
+        mem.write8(a, static_cast<u8>(a * 7 + 3));
+    if (neighbour_resident)
+        for (Addr a = 2 * page; a < 2 * page + 8; ++a)
+            mem.write8(a, static_cast<u8>(0xa0 + a));
+    return mem;
+}
+
+} // namespace
+
+// The single-lookup fast path of read16/read32/write16/write32 must
+// agree with a read8/write8 reference at every offset near the page
+// end, where it hands over to the straddling path.
+TEST(SparseMemory, WideAccessesMatchByteReferenceAtPageEnd)
+{
+    const Addr page = SparseMemory::kPageSize;
+    for (const bool resident : {false, true}) {
+        for (Addr off = page - 8; off < page; ++off) {
+            SCOPED_TRACE(testing::Message()
+                         << "offset " << off << " neighbour "
+                         << (resident ? "resident" : "absent"));
+            const Addr a = page + off;
+            SparseMemory mem = patternedPages(resident);
+            const size_t pages = mem.numPages();
+            EXPECT_EQ(mem.read16(a), referenceRead(mem, a, 2));
+            EXPECT_EQ(mem.read32(a), referenceRead(mem, a, 4));
+            EXPECT_EQ(mem.numPages(), pages);
+
+            for (const unsigned bytes : {2u, 4u}) {
+                SparseMemory fast = patternedPages(resident);
+                SparseMemory ref = patternedPages(resident);
+                const u32 value = 0xc3d2e1f0u ^ static_cast<u32>(off);
+                if (bytes == 2)
+                    fast.write16(a, static_cast<u16>(value));
+                else
+                    fast.write32(a, value);
+                referenceWrite(ref, a, value, bytes);
+                EXPECT_EQ(fast.numPages(), ref.numPages());
+                for (Addr b = a - 4; b < a + 8; ++b)
+                    EXPECT_EQ(fast.read8(b), ref.read8(b))
+                        << "byte 0x" << std::hex << b;
+            }
+        }
+    }
+}
+
+TEST(SparseMemory, ReadingAnAbsentPageAllocatesNothing)
+{
+    SparseMemory mem;
+    mem.write8(0x1000, 1);
+    const Addr page = SparseMemory::kPageSize;
+    for (Addr off = page - 8; off < page; ++off) {
+        EXPECT_EQ(mem.read16(0x5000 + off), 0u);
+        EXPECT_EQ(mem.read32(0x5000 + off), 0u);
+        u8 buf[16];
+        mem.readBlock(0x5000 + off, buf, sizeof(buf));
+        EXPECT_EQ(std::count(buf, buf + sizeof(buf), 0), 16);
+    }
+    EXPECT_EQ(mem.numPages(), 1u);
+}
