@@ -122,7 +122,11 @@ class Ring
     /** Pick the LRU unpinned cluster (panics if all are pinned). */
     Cluster &chooseVictim();
 
-    /** Fetch + decode @p line into @p cl; returns the ready cycle. */
+    /**
+     * Fetch + decode @p line into @p cl; returns the ready cycle. The
+     * simulated fetch and decode are charged on every call; the host
+     * decode work is memoized in decoded_ (validated, see DecodedLine).
+     */
     Cycle loadLine(Cluster &cl, Addr line, Cycle when,
                    SparseMemory &mem);
 
@@ -151,6 +155,19 @@ class Ring
     /** warn()-level ring-state dump attached to watchdog aborts. */
     void dumpState(const char *why) const;
 
+    /**
+     * Host-side memo of one decoded I-line. loadLine reuses it only
+     * when the line's raw bytes in memory still equal `raw`, so a line
+     * whose code was overwritten since it was decoded is decoded again
+     * exactly as it would be without the memo.
+     */
+    struct DecodedLine
+    {
+        std::vector<u8> raw;                  //!< line_bytes_ bytes
+        std::vector<isa::DecodedInst> insts;  //!< decode of raw
+        bool has_backward_branch = false;
+    };
+
     const DiagConfig &cfg_;
     unsigned index_;
     mem::MemHierarchy &mh_;
@@ -159,6 +176,8 @@ class Ring
     ActivationEngine engine_;
     std::vector<Cluster> clusters_;
     std::unordered_map<Addr, unsigned> resident_;  // line -> cluster
+    std::unordered_map<Addr, DecodedLine> decoded_; //!< line -> memo
+    std::vector<u8> line_raw_;  //!< loadLine's read buffer
     std::set<Addr> pinned_lines_;      //!< simt region lines (no evict)
     std::set<Addr> not_pipelinable_;   //!< simt_s PCs that fell back
     u64 use_counter_ = 0;

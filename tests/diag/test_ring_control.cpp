@@ -162,3 +162,48 @@ TEST(RingControl, StridePrefetchKeepsResultsCorrect)
     proc.run(p);
     EXPECT_EQ(proc.finalReg(0, 10), 511u * 512 / 2);
 }
+
+TEST(RingControl, OverwrittenCodeLineIsDecodedAfresh)
+{
+    // The line at 0x2000 runs once with `addi a0, a0, 1`, then a store
+    // overwrites that word with `addi a0, a0, 100` (0x06450513). On a
+    // 2-cluster ring the lines at 0x3000 and 0x4000 evict it, so the
+    // second visit re-fetches and must execute the new word, even
+    // though the same line was decoded before. Registers and cycles
+    // are pinned to the values measured before the decoded-line cache
+    // existed.
+    const std::string src = R"(
+_start:
+    li a0, 0
+    li a2, 0
+    la t0, patch
+    li t1, 0x06450513
+    j patch_line
+.org 0x2000
+patch_line:
+patch:
+    addi a0, a0, 1
+    j dispatch
+.org 0x3000
+dispatch:
+    bnez a2, done
+    li a2, 1
+    sw t1, 0(t0)
+    j filler
+done:
+    ebreak
+.org 0x4000
+filler:
+    addi a1, a1, 1
+    j patch_line
+)";
+    DiagProcessor proc(DiagConfig::f4c2());
+    const sim::RunStats rs = proc.run(assembler::assemble(src));
+    ASSERT_TRUE(rs.halted);
+    EXPECT_EQ(proc.finalReg(0, isa::RegId{10}), 101u);  // a0: 1 + 100
+    EXPECT_EQ(proc.finalReg(0, isa::RegId{11}), 1u);    // a1
+    EXPECT_EQ(proc.finalReg(0, isa::RegId{12}), 1u);    // a2
+    EXPECT_EQ(rs.instructions, 19u);
+    EXPECT_EQ(rs.cycles, 623u);
+    EXPECT_EQ(rs.counters.get("iline_fetches"), 11.0);
+}
