@@ -59,7 +59,8 @@ FaultController::applyBoundaryEvent(size_t idx, core::LaneFile &regs,
                                    ev.lane, ev.bit);
         break;
       case FaultSite::RegLaneTiming:
-        regs[ev.lane].ready ^= Cycle{1} << (ev.bit % 24);
+        regs.setReady(ev.lane,
+                      regs.ready(ev.lane) ^ (Cycle{1} << (ev.bit % 24)));
         log.note = detail::vformat("lane x%u ready bit %u flipped",
                                    ev.lane, ev.bit % 24);
         break;

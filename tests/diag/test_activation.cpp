@@ -122,7 +122,7 @@ TEST(Activation, WawAndWarDoNotSerialize)
     EXPECT_EQ(rig.regs[1].value, 9u);
     EXPECT_EQ(rig.regs[4].value, 9u);
     // x4 is ready long before the divide's 12-cycle latency...
-    EXPECT_LT(rig.regs[4].ready, 10u);
+    EXPECT_LT(rig.regs.ready(4), 10u);
     // ...but retirement (PC lane) still waits for the divide.
     EXPECT_GE(out.pc_exit, 12u);
 }
@@ -208,7 +208,7 @@ TEST(Activation, SegmentBufferAddsLatency)
     rig.run();
     // Producer done at 1; +1 segment crossing; consumer runs [2,3).
     EXPECT_EQ(rig.regs[2].value, 42u);
-    EXPECT_EQ(rig.regs[2].ready, 3u);
+    EXPECT_EQ(rig.regs.ready(2), 3u);
 }
 
 TEST(Activation, StoreToLoadForwarding)
@@ -264,7 +264,7 @@ TEST(Activation, LoadWaitsForOlderStoreAddress)
     rig.run(0x1000, regs);
     EXPECT_EQ(rig.regs[3].value, 0u);
     // Load issue gated by store address (>= 12 cycles).
-    EXPECT_GE(rig.regs[3].ready, 12u);
+    EXPECT_GE(rig.regs.ready(3), 12u);
 }
 
 TEST(Activation, LineBufferHitIsFast)
