@@ -9,7 +9,7 @@
 #ifndef DIAG_SIM_MEM_ORDER_HPP
 #define DIAG_SIM_MEM_ORDER_HPP
 
-#include <deque>
+#include <vector>
 
 #include "common/sparse_mem.hpp"
 #include "common/types.hpp"
@@ -26,6 +26,60 @@ struct PendingStore
 };
 
 /**
+ * Fixed-capacity FIFO of pending stores, indexed oldest first. Once the
+ * window is full a new store displaces the oldest. A ring over one
+ * contiguous buffer, so the per-load forwarding scan walks plain
+ * memory.
+ */
+class StoreWindow
+{
+  public:
+    explicit StoreWindow(unsigned capacity) : buf_(capacity) {}
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** The @p i-th oldest entry. */
+    PendingStore &operator[](size_t i) { return buf_[slot(i)]; }
+    const PendingStore &operator[](size_t i) const { return buf_[slot(i)]; }
+
+    /** Append @p st. True when the window was full and the oldest
+     *  entry was displaced (with capacity 0, @p st itself). */
+    bool
+    push(const PendingStore &st)
+    {
+        if (buf_.empty())
+            return true;
+        if (size_ < buf_.size()) {
+            buf_[slot(size_++)] = st;
+            return false;
+        }
+        buf_[head_] = st;
+        head_ = slot(1);
+        return true;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+  private:
+    size_t
+    slot(size_t i) const
+    {
+        const size_t j = head_ + i;
+        return j < buf_.size() ? j : j - buf_.size();
+    }
+
+    std::vector<PendingStore> buf_;
+    size_t head_ = 0;  //!< slot of the oldest entry
+    size_t size_ = 0;
+};
+
+/**
  * Per-thread memory-order state. Also carries the thread's functional
  * memory image reference so execution engines have one handle for both
  * data values and ordering.
@@ -34,7 +88,7 @@ class StoreTracker
 {
   public:
     StoreTracker(SparseMemory &mem, unsigned entries)
-        : mem_(&mem), entries_(entries)
+        : mem_(&mem), stores_(entries)
     {}
 
     SparseMemory &mem() { return *mem_; }
@@ -50,12 +104,7 @@ class StoreTracker
     {
         if (addr_ready > store_addr_gate_)
             store_addr_gate_ = addr_ready;
-        stores_.push_back({addr, size, data_ready});
-        if (stores_.size() > entries_) {
-            stores_.pop_front();
-            return true;
-        }
-        return false;
+        return stores_.push({addr, size, data_ready});
     }
 
     /**
@@ -66,8 +115,8 @@ class StoreTracker
     Cycle
     forwardProbe(Addr addr, u8 size) const
     {
-        for (auto it = stores_.rbegin(); it != stores_.rend(); ++it) {
-            const PendingStore &st = *it;
+        for (size_t k = stores_.size(); k-- > 0;) {
+            const PendingStore &st = stores_[k];
             const bool overlap = addr < st.addr + st.size &&
                                  st.addr < addr + size;
             if (!overlap)
@@ -87,12 +136,11 @@ class StoreTracker
     }
 
     /** Direct access to the CAM window (fault injection / tests). */
-    std::deque<PendingStore> &entries() { return stores_; }
+    StoreWindow &entries() { return stores_; }
 
   private:
     SparseMemory *mem_;
-    unsigned entries_;
-    std::deque<PendingStore> stores_;
+    StoreWindow stores_;
     Cycle store_addr_gate_ = 0;
 };
 
