@@ -4,7 +4,8 @@
  */
 #include "workloads/workload.hpp"
 
-#include <utility>
+#include <span>
+#include <string_view>
 
 #include "common/log.hpp"
 
@@ -33,51 +34,72 @@ Workload workloadNab();
 Workload workloadXz();
 Workload workloadImagick();
 
+namespace
+{
+
+/** One bundled workload: its name and the factory that builds it. */
+struct Entry
+{
+    std::string_view name;
+    Workload (*make)();
+};
+
+/** Every bundled workload in suite order: the Rodinia-class kernels
+ *  first, then the SPEC-class ones. A lookup builds only its match. */
+constexpr Entry kWorkloads[] = {
+    {"backprop", workloadBackprop},
+    {"bfs", workloadBfs},
+    {"heartwall", workloadHeartwall},
+    {"hotspot", workloadHotspot},
+    {"kmeans", workloadKmeans},
+    {"lavamd", workloadLavamd},
+    {"lud", workloadLud},
+    {"nn", workloadNn},
+    {"nw", workloadNw},
+    {"particlefilter", workloadParticlefilter},
+    {"pathfinder", workloadPathfinder},
+    {"srad", workloadSrad},
+    {"mcf", workloadMcf},
+    {"lbm", workloadLbm},
+    {"x264", workloadX264},
+    {"deepsjeng", workloadDeepsjeng},
+    {"leela", workloadLeela},
+    {"nab", workloadNab},
+    {"xz", workloadXz},
+    {"imagick", workloadImagick},
+};
+constexpr std::size_t kRodiniaCount = 12;
+
+std::vector<Workload>
+build(std::span<const Entry> entries)
+{
+    std::vector<Workload> suite;
+    suite.reserve(entries.size());
+    for (const Entry &e : entries)
+        suite.push_back(e.make());
+    return suite;
+}
+
+} // namespace
+
 std::vector<Workload>
 rodiniaSuite()
 {
-    std::vector<Workload> suite;
-    suite.push_back(workloadBackprop());
-    suite.push_back(workloadBfs());
-    suite.push_back(workloadHeartwall());
-    suite.push_back(workloadHotspot());
-    suite.push_back(workloadKmeans());
-    suite.push_back(workloadLavamd());
-    suite.push_back(workloadLud());
-    suite.push_back(workloadNn());
-    suite.push_back(workloadNw());
-    suite.push_back(workloadParticlefilter());
-    suite.push_back(workloadPathfinder());
-    suite.push_back(workloadSrad());
-    return suite;
+    return build(std::span(kWorkloads).first(kRodiniaCount));
 }
 
 std::vector<Workload>
 specSuite()
 {
-    std::vector<Workload> suite;
-    suite.push_back(workloadMcf());
-    suite.push_back(workloadLbm());
-    suite.push_back(workloadX264());
-    suite.push_back(workloadDeepsjeng());
-    suite.push_back(workloadLeela());
-    suite.push_back(workloadNab());
-    suite.push_back(workloadXz());
-    suite.push_back(workloadImagick());
-    return suite;
+    return build(std::span(kWorkloads).subspan(kRodiniaCount));
 }
 
 bool
 tryFindWorkload(const std::string &name, Workload *out)
 {
-    for (auto &w : rodiniaSuite())
-        if (w.name == name) {
-            *out = std::move(w);
-            return true;
-        }
-    for (auto &w : specSuite())
-        if (w.name == name) {
-            *out = std::move(w);
+    for (const Entry &e : kWorkloads)
+        if (e.name == name) {
+            *out = e.make();
             return true;
         }
     return false;

@@ -3,6 +3,8 @@
  *  serial, multithreaded (partitioned), and simt variants. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asm/assembler.hpp"
 #include "sim/golden.hpp"
 #include "workloads/workload.hpp"
@@ -91,6 +93,25 @@ TEST_P(WorkloadSerial, GoldenRunPassesCheck)
     EXPECT_LT(insts, 2'000'000u) << w.name << " too large";
 }
 
+TEST_P(WorkloadSerial, LookupMatchesSuiteEntry)
+{
+    const std::string name = GetParam();
+    std::vector<Workload> suite = rodiniaSuite();
+    for (Workload &w : specSuite())
+        suite.push_back(std::move(w));
+    const auto entry =
+        std::find_if(suite.begin(), suite.end(),
+                     [&](const Workload &w) { return w.name == name; });
+    ASSERT_NE(entry, suite.end());
+    Workload w;
+    ASSERT_TRUE(tryFindWorkload(name, &w));
+    EXPECT_EQ(w.name, entry->name);
+    EXPECT_EQ(w.suite, entry->suite);
+    EXPECT_EQ(w.asm_serial, entry->asm_serial);
+    EXPECT_EQ(w.asm_simt, entry->asm_simt);
+    EXPECT_EQ(w.data_ranges, entry->data_ranges);
+}
+
 TEST_P(WorkloadMt, PartitionedRunPassesCheck)
 {
     const Workload w = findWorkload(GetParam());
@@ -127,6 +148,8 @@ TEST(Workloads, SuiteShapes)
 {
     EXPECT_EQ(rodiniaSuite().size(), 12u);
     EXPECT_EQ(specSuite().size(), 8u);
+    Workload w;
+    EXPECT_FALSE(tryFindWorkload("no-such-workload", &w));
     // The paper pipelines a subset of benchmarks (purple bars).
     EXPECT_GE(simtNames().size(), 8u);
 }

@@ -1,27 +1,18 @@
 #!/usr/bin/env python3
-"""Accumulate benchmark captures into BENCH_trajectory.json.
+"""Read and validate BENCH_trajectory.json.
 
-Each committed BENCH_*.json is a single google-benchmark capture that
-gets *overwritten* when a baseline is refreshed — the history of how
-throughput moved across PRs lives only in git archaeology. This tool
-distills each capture into a compact dated record and appends it to a
-trajectory file, so performance over time is one `git log`-free read.
-
-A record keeps only what trend analysis needs: the capture date, which
-bench produced it, the build context that makes the numbers comparable
-(build type, optimization, any other diag_* context the bench adds),
-and the per-s rate counters of every benchmark in the capture. These are micro-benchmark
-records; the gated throughput number is the real-suite one
-(suitebench, checked by check_bench.py --suite).
+The trajectory holds dated throughput records, kept as history: most
+come from since-deleted micro-benchmarks, one from suitebench. Each
+record names the bench that produced it, the build context that made
+its numbers comparable (build type, optimization, host) and the per-s
+rate counters of every benchmark in that capture.
+The gated throughput number is the real-suite one (suitebench,
+checked by check_bench.py --suite).
 
 Usage:
-  bench_trajectory.py append BENCH_sim_speed.json [--trajectory FILE]
-                                                  [--dedup]
   bench_trajectory.py show [--trajectory FILE]
   bench_trajectory.py validate [--trajectory FILE]
 
-append  distill the capture and append its record (with --dedup, skip
-        when an identical record is already the latest for that bench).
 show    print one line per record: date, bench, headline rates.
 validate exit non-zero unless the file matches the schema below; also
         invoked by check_bench.py --trajectory.
@@ -34,8 +25,7 @@ Schema (version 1):
       "rates": {"BM_DiagModel": {"sim_inst_per_s": 9.8e6}, ...}},
      ...]}
 
-Records are append-only and kept in file order (which is capture-append
-order, not necessarily date order — reruns of old captures are legal).
+Records are kept in file order, which is not necessarily date order.
 Stdlib only.
 """
 
@@ -45,11 +35,6 @@ import os
 import sys
 
 SCHEMA_VERSION = 1
-
-# Context keys worth tracking across captures: everything that changes
-# the meaning of the numbers, none of the per-host noise (cache sizes,
-# load average) that would make every record unique.
-CONTEXT_KEYS = ("library_build_type", "host_name", "num_cpus")
 
 
 def fail(msg: str) -> None:
@@ -100,56 +85,6 @@ def validate_doc(doc) -> list:
     return errs
 
 
-def distill(capture: dict, bench_json_path: str) -> dict:
-    """A trajectory record from one google-benchmark capture."""
-    ctx = capture.get("context", {})
-    exe = ctx.get("executable", "")
-    bench = os.path.basename(exe) or \
-        os.path.basename(bench_json_path).replace("BENCH_", "") \
-                                         .replace(".json", "")
-    record_ctx = {k: ctx[k] for k in CONTEXT_KEYS if k in ctx}
-    # diag_* keys are this repo's own AddCustomContext payload (build
-    # type, optimization) — keep them all.
-    record_ctx.update(
-        {k: v for k, v in ctx.items() if k.startswith("diag_")})
-    rates = {}
-    for run in capture.get("benchmarks", []):
-        counters = {k: v for k, v in run.items()
-                    if k.endswith("_per_s")
-                    and isinstance(v, (int, float))}
-        if counters:
-            rates[run["name"]] = counters
-    return {"date": ctx.get("date", ""), "bench": bench,
-            "context": record_ctx, "rates": rates}
-
-
-def dump(doc: dict, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def cmd_append(args) -> None:
-    with open(args.bench_json) as f:
-        capture = json.load(f)
-    rec = distill(capture, args.bench_json)
-    if not rec["rates"]:
-        fail(f"{args.bench_json}: no *_per_s counters to track")
-    doc = load_trajectory(args.trajectory)
-    if args.dedup:
-        latest = next((r for r in reversed(doc["records"])
-                       if r["bench"] == rec["bench"]), None)
-        if latest == rec:
-            print(f"bench_trajectory: {rec['bench']} capture of "
-                  f"{rec['date']} already recorded, skipping")
-            return
-    doc["records"].append(rec)
-    dump(doc, args.trajectory)
-    print(f"bench_trajectory: appended {rec['bench']} "
-          f"({rec['date']}, {len(rec['rates'])} benchmarks) -> "
-          f"{args.trajectory} [{len(doc['records'])} records]")
-
-
 def cmd_show(args) -> None:
     doc = load_trajectory(args.trajectory)
     if not doc["records"]:
@@ -168,7 +103,7 @@ def cmd_show(args) -> None:
 
 def cmd_validate(args) -> None:
     if not os.path.exists(args.trajectory):
-        # Tolerated: the trajectory is optional until first append.
+        # Tolerated, as in check_bench.py --trajectory.
         print(f"bench_trajectory: {args.trajectory} absent (ok)")
         return
     with open(args.trajectory) as f:
@@ -187,19 +122,13 @@ def cmd_validate(args) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        description="accumulate bench captures into a trajectory file")
+        description="show or validate a benchmark trajectory file")
     ap.add_argument("--trajectory", default="BENCH_trajectory.json")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    p_append = sub.add_parser("append")
-    p_append.add_argument("bench_json")
-    p_append.add_argument("--dedup", action="store_true",
-                          help="skip when the latest record for this "
-                               "bench is identical")
     sub.add_parser("show")
     sub.add_parser("validate")
     args = ap.parse_args()
-    {"append": cmd_append, "show": cmd_show,
-     "validate": cmd_validate}[args.cmd](args)
+    {"show": cmd_show, "validate": cmd_validate}[args.cmd](args)
 
 
 if __name__ == "__main__":

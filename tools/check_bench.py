@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
-"""Gate simulator-throughput benchmark results (CI bench smoke).
+"""Gate real-suite throughput results (CI bench smoke).
 
-Two inputs, either or both:
+--suite FILE is the saved stdout of
+    python3 suitebench/run.py --workload WORKLOAD --seed 1 \\
+        --seconds 30 --trace 0
+The workload is read from its "# suitebench workload=" header and its
+last JSON line is the result. Fails (exit 1) when any operation
+failed, or when the calibrated sim_inst_per_s is below the floor. The
+default floor is FLOOR_FRACTION of that workload's sim_inst_per_s
+median in suitebench/BASELINE.json; --floor overrides it with an
+absolute rate.
 
-  * --suite FILE: the saved stdout of
-        python3 suitebench/run.py --workload WORKLOAD --seed 1 \\
-            --seconds 30 --trace 0
-    The workload is read from its "# suitebench workload=" header and
-    its last JSON line is the result. Fails (exit 1) when any
-    operation failed, or when the calibrated sim_inst_per_s is below
-    the floor. The default floor is FLOOR_FRACTION of that workload's
-    sim_inst_per_s median in suitebench/BASELINE.json; --floor
-    overrides it with an absolute rate.
-  * BENCH_JSON: a bench_sim_speed --benchmark_out JSON file. Fails
-    when the timing library self-reports a debug build, or the
-    simulator under test was not optimized (the numbers would measure
-    the compiler, not the simulator). BM_DiagModel's micro-loop rate
-    is printed as a record and not gated.
+With --trajectory, additionally validates BENCH_trajectory.json (see
+tools/bench_trajectory.py) against its schema, so a malformed edit
+fails the bench smoke rather than rotting silently; an absent
+trajectory file is tolerated.
 
-With --trajectory, additionally validates the accumulated
-BENCH_trajectory.json (see tools/bench_trajectory.py) against its
-schema, so a malformed append fails the bench smoke rather than
-rotting silently; an absent trajectory file is tolerated.
-
-Usage: check_bench.py [BENCH_JSON] [--suite FILE] [--floor INSTS_PER_S]
+Usage: check_bench.py --suite FILE [--floor INSTS_PER_S]
                       [--trajectory FILE]
 """
 
@@ -99,30 +92,9 @@ def check_suite(path: str, floor: Optional[float]) -> None:
              f"{floor:.3e} floor")
 
 
-def check_micro(path: str) -> None:
-    with open(path) as f:
-        doc = json.load(f)
-    ctx = doc.get("context", {})
-    if ctx.get("library_build_type") != "release":
-        fail(f"timing library built as "
-             f"'{ctx.get('library_build_type')}' — numbers are not a "
-             f"measurement (need a Release build of the bench tree)")
-    if ctx.get("diag_optimized") == "false":
-        fail("simulator under test compiled without optimization")
-    rates = {run["name"]: run["sim_inst_per_s"]
-             for run in doc.get("benchmarks", [])
-             if "sim_inst_per_s" in run}
-    diag = rates.get("BM_DiagModel")
-    if diag is None:
-        fail("BM_DiagModel missing from the benchmark output")
-    print(f"check_bench: BM_DiagModel {diag:.3e} inst/s (not gated)")
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("bench_json", nargs="?", default=None,
-                    help="bench_sim_speed --benchmark_out JSON")
-    ap.add_argument("--suite", default=None,
+    ap.add_argument("--suite", required=True,
                     help="saved suitebench --trace 0 stdout")
     ap.add_argument("--floor", type=float, default=None,
                     help="minimum sim_inst_per_s (default: "
@@ -132,8 +104,6 @@ def main() -> None:
                     help="also validate this BENCH_trajectory.json "
                          "(absent file tolerated)")
     args = ap.parse_args()
-    if args.bench_json is None and args.suite is None:
-        ap.error("give a bench JSON, --suite, or both")
 
     if args.trajectory is not None and os.path.exists(args.trajectory):
         with open(args.trajectory) as f:
@@ -147,10 +117,7 @@ def main() -> None:
         print(f"check_bench: trajectory {args.trajectory} valid "
               f"({len(tdoc['records'])} records)")
 
-    if args.bench_json is not None:
-        check_micro(args.bench_json)
-    if args.suite is not None:
-        check_suite(args.suite, args.floor)
+    check_suite(args.suite, args.floor)
     print("check_bench: PASS")
 
 
