@@ -1,11 +1,11 @@
 /**
  * @file
- * Lightweight named-statistics registry. Components own a StatGroup and
- * register scalar counters in it; the harness and benches walk groups to
- * render tables or feed the energy model. Per-event sites (the OoO
- * per-instruction loop, DiAG activations and line loads, the caches,
- * DRAM and bus) increment through StatCounter handles bound once;
- * string keys are for rare events and keys built at run time.
+ * Lightweight named-statistics registry. Each processor owns one
+ * StatGroup and every component it is built from (rings, cores,
+ * caches, DRAM, bus) counts into it; the harness and benches walk the
+ * group to render tables or feed the energy model. Per-event sites
+ * increment through StatCounter handles bound once; string keys are
+ * for rare events and keys built at run time.
  */
 #ifndef DIAG_COMMON_STATS_HPP
 #define DIAG_COMMON_STATS_HPP
@@ -44,9 +44,9 @@ std::string jsonEscape(const std::string &s);
  * StatGroup is deliberately unsynchronized — inc() sits on the
  * simulators' per-event hot path where a mutex or atomic would
  * dominate the cost. Every group must therefore stay confined to the
- * host worker that owns its simulator instance; cross-worker
- * aggregation happens after the owning tasks complete, on the merging
- * thread, via merge(). There are no process-global StatGroups.
+ * host worker that owns its simulator instance; results cross workers
+ * only as copies, after the owning task completes. There are no
+ * process-global StatGroups.
  */
 class StatGroup
 {
@@ -87,34 +87,18 @@ class StatGroup
     }
 
     /**
-     * Reset the group. With @p retain_keys (the default) every counter
-     * is zeroed but stays registered, so a later dump() still lists it
-     * — the mode reset-between-runs callers want, since dumps keep a
-     * stable schema across runs. With retain_keys = false the key set
-     * itself is dropped (has() turns false), for reusing one group
-     * across unrelated programs without leaking per-PC counters such
-     * as simt_region_* between them. Dropping the key set destroys the
-     * map nodes, so the epoch advances and every cached StatCounter
-     * handle re-binds on its next use.
+     * Reset the group between runs: the key set itself is dropped
+     * (has() turns false), so a reused group reports exactly the keys
+     * a fresh one would and leaks no per-PC counters such as
+     * simt_region_* from one program into the next. Dropping the key
+     * set destroys the map nodes, so the epoch advances and every
+     * cached StatCounter handle re-binds on its next use.
      */
     void
-    clear(bool retain_keys = true)
+    clear()
     {
-        if (!retain_keys) {
-            values_.clear();
-            ++epoch_;
-            return;
-        }
-        for (auto &kv : values_)
-            kv.second = 0.0;
-    }
-
-    /** Merge another group into this one by summing matching keys. */
-    void
-    merge(const StatGroup &other)
-    {
-        for (const auto &kv : other.values_)
-            values_[kv.first] += kv.second;
+        values_.clear();
+        ++epoch_;
     }
 
     /** All (key, value) pairs, sorted by key. */
@@ -123,16 +107,13 @@ class StatGroup
     /**
      * Stable address of the counter @p key, creating it (at zero) if
      * absent. std::map nodes never move, so the pointer stays valid
-     * for the group's lifetime or until clear(false) drops the key
-     * set — which is what epoch() lets StatCounter detect.
+     * for the group's lifetime or until clear() drops the key set —
+     * which is what epoch() lets StatCounter detect.
      */
     double *slot(const std::string &key) { return &values_[key]; }
 
-    /** Generation of the key set; advanced by clear(false). */
+    /** Generation of the key set; advanced by clear(). */
     u64 epoch() const { return epoch_; }
-
-    /** Pretty-print "group.key value" lines. */
-    void dump(std::ostream &os) const;
 
     /**
      * Machine-readable dump: one JSON object with the group name and a
@@ -165,19 +146,16 @@ class StatGroup
  *   inc(), never before, so "a counter exists iff it was ever
  *   incremented" (and with it the byte-stable dumpJson key set) holds
  *   exactly as with StatGroup::inc. read() never creates the key.
- * - StatGroup::clear(false) advances the group's epoch; every handle
- *   re-binds on its next inc() and counts from zero. clear(true) only
- *   zeroes the values, so bound handles stay bound.
+ * - StatGroup::clear() advances the group's epoch; every handle
+ *   re-binds on its next inc() and counts from zero.
  * - Several handles may name one key; their increments add up in the
- *   one map slot.
- * - @p key must have static storage duration (string literals at every
- *   call site in-tree).
+ *   one map slot (the per-port L1s of one level share "l1d.*").
  */
 class StatCounter
 {
   public:
-    StatCounter(StatGroup &group, const char *key)
-        : group_(&group), key_(key)
+    StatCounter(StatGroup &group, std::string key)
+        : group_(&group), key_(std::move(key))
     {}
 
     /** Add @p delta (default 1) to the bound counter. */
@@ -203,9 +181,9 @@ class StatCounter
     [[gnu::noinline, gnu::cold]] void rebind();
 
     StatGroup *group_;
-    const char *key_;
     double *slot_ = nullptr;
     u64 epoch_ = 0;  //!< 0 never matches a live group epoch (>= 1)
+    std::string key_;  //!< read only by rebind() and unbound read()
 };
 
 } // namespace diag

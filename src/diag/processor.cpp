@@ -11,8 +11,8 @@ namespace diag::core
 {
 
 DiagProcessor::DiagProcessor(DiagConfig cfg)
-    : cfg_(std::move(cfg)), mh_(cfg_.mem, 1), bus_("diag_bus"),
-      stats_("diag")
+    : cfg_(std::move(cfg)), stats_("diag"), mh_(cfg_.mem, 1, stats_),
+      bus_(stats_)
 {
     fatal_if(cfg_.total_clusters % cfg_.num_rings != 0,
              "%u clusters do not split evenly over %u rings",
@@ -55,7 +55,7 @@ DiagProcessor::beginRun(const Program &prog)
             ring->reset();
         bus_.reset();
         mh_.reset();
-        stats_.clear(false);
+        stats_.clear();
         if (warmed_)
             warmCaches();
     }
@@ -205,10 +205,9 @@ DiagProcessor::runThreads(const Program &prog,
     rs.cycles = finish;
     rs.counters = stats_;
     rs.counters.set("threads", static_cast<double>(threads.size()));
-    rs.counters.set("bus_wait_cycles",
-                    bus_.stats().get("wait_cycles"));
-    rs.counters.set("bus_transfers", bus_.stats().get("transfers"));
-    mh_.mergeStats(rs.counters);
+    // Every DiAG dump lists the bus counters, even when zero.
+    rs.counters.inc("bus_transfers", 0.0);
+    rs.counters.inc("bus_wait_cycles", 0.0);
     return rs;
 }
 

@@ -160,9 +160,9 @@ class DiagProcessor
 
     DiagConfig cfg_;
     SparseMemory mem_;
+    StatGroup stats_;  //!< bound by every component below
     mem::MemHierarchy mh_;
     mem::Bus bus_;
-    StatGroup stats_;
     std::vector<std::unique_ptr<Ring>> rings_;
     std::vector<ThreadResult> results_;
     bool program_loaded_ = false;

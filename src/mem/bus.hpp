@@ -8,8 +8,6 @@
 #ifndef DIAG_MEM_BUS_HPP
 #define DIAG_MEM_BUS_HPP
 
-#include <string>
-
 #include "common/calendar.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -21,7 +19,11 @@ namespace diag::mem
 class Bus
 {
   public:
-    explicit Bus(std::string name) : stats_(std::move(name)) {}
+    /** Counts into @p stats as bus_transfers and bus_wait_cycles. */
+    explicit Bus(StatGroup &stats)
+        : st_transfers_(stats, "bus_transfers"),
+          st_wait_cycles_(stats, "bus_wait_cycles")
+    {}
 
     /**
      * Request the bus at @p now for @p occupancy cycles. Returns the
@@ -32,7 +34,6 @@ class Bus
     {
         const Cycle grant = calendar_.reserve(now, occupancy);
         st_transfers_.inc();
-        st_busy_cycles_.inc(static_cast<double>(occupancy));
         if (grant > now)
             st_wait_cycles_.inc(static_cast<double>(grant - now));
         return grant;
@@ -41,17 +42,13 @@ class Bus
     /** True iff a request granted at @p now would have to wait. */
     bool busyAt(Cycle now) const { return calendar_.busyAt(now); }
 
-    void reset() { calendar_.clear(); stats_.clear(); }
-
-    StatGroup &stats() { return stats_; }
+    void reset() { calendar_.clear(); }
 
   private:
     BusyCalendar calendar_;
-    StatGroup stats_;
     // Lazy-bound counter handles for the per-request hot path.
-    StatCounter st_transfers_{stats_, "transfers"};
-    StatCounter st_busy_cycles_{stats_, "busy_cycles"};
-    StatCounter st_wait_cycles_{stats_, "wait_cycles"};
+    StatCounter st_transfers_;
+    StatCounter st_wait_cycles_;
 };
 
 } // namespace diag::mem

@@ -8,8 +8,16 @@
 namespace diag::mem
 {
 
-Cache::Cache(std::string name, const CacheParams &params)
-    : name_(std::move(name)), params_(params), stats_(name_)
+Cache::Cache(std::string name, const CacheParams &params, StatGroup &stats,
+             const std::string &prefix)
+    : name_(std::move(name)), params_(params),
+      st_bank_conflict_cycles_(stats, prefix + ".bank_conflict_cycles"),
+      st_reads_(stats, prefix + ".reads"),
+      st_writes_(stats, prefix + ".writes"),
+      st_hits_(stats, prefix + ".hits"),
+      st_misses_(stats, prefix + ".misses"),
+      st_writebacks_(stats, prefix + ".writebacks"),
+      st_fills_(stats, prefix + ".fills")
 {
     fatal_if(!isPow2(params_.line_bytes), "%s: line size not power of 2",
              name_.c_str());
@@ -151,7 +159,6 @@ Cache::reset()
     for (BusyCalendar &bank : bank_busy_)
         bank.clear();
     use_counter_ = 0;
-    stats_.clear();
 }
 
 } // namespace diag::mem

@@ -31,7 +31,10 @@ struct CacheLookup
 class Cache
 {
   public:
-    Cache(std::string name, const CacheParams &params);
+    /** Counts into @p stats under "<prefix>.<event>"; caches that
+     *  share a prefix add up in one counter. */
+    Cache(std::string name, const CacheParams &params, StatGroup &stats,
+          const std::string &prefix);
 
     /**
      * Probe the cache at @p now. On a hit, `done` is the data-ready
@@ -47,7 +50,8 @@ class Cache
      */
     bool fill(Addr addr, bool is_write, Cycle now);
 
-    /** Invalidate everything (used between benchmark runs). */
+    /** Invalidate everything (used between benchmark runs). The
+     *  counters belong to the owner's group, which clears them. */
     void reset();
 
     /**
@@ -66,8 +70,6 @@ class Cache
     std::string corruptWay(u64 pick, unsigned bit);
 
     const CacheParams &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
 
     /** Attach (or detach with nullptr) a tracer: bank-conflict events
      *  are emitted from access(); one null check when detached. */
@@ -94,15 +96,14 @@ class Cache
     std::vector<Way> ways_;            // num_sets * assoc
     std::vector<BusyCalendar> bank_busy_;  // per bank
     u64 use_counter_ = 0;
-    StatGroup stats_;
     // Lazy-bound counter handles for the per-access hot path.
-    StatCounter st_bank_conflict_cycles_{stats_, "bank_conflict_cycles"};
-    StatCounter st_reads_{stats_, "reads"};
-    StatCounter st_writes_{stats_, "writes"};
-    StatCounter st_hits_{stats_, "hits"};
-    StatCounter st_misses_{stats_, "misses"};
-    StatCounter st_writebacks_{stats_, "writebacks"};
-    StatCounter st_fills_{stats_, "fills"};
+    StatCounter st_bank_conflict_cycles_;
+    StatCounter st_reads_;
+    StatCounter st_writes_;
+    StatCounter st_hits_;
+    StatCounter st_misses_;
+    StatCounter st_writebacks_;
+    StatCounter st_fills_;
     trace::Tracer *tracer_ = nullptr;  //!< null = tracing off
 };
 

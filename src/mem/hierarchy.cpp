@@ -5,16 +5,17 @@
 namespace diag::mem
 {
 
-MemHierarchy::MemHierarchy(const MemParams &params, unsigned ports)
-    : params_(params), dram_(params.dram)
+MemHierarchy::MemHierarchy(const MemParams &params, unsigned ports,
+                           StatGroup &stats)
+    : params_(params), dram_(params.dram, stats)
 {
     for (unsigned p = 0; p < ports; ++p) {
         l1i_.push_back(std::make_unique<Cache>(
-            "l1i" + std::to_string(p), params.l1i));
+            "l1i" + std::to_string(p), params.l1i, stats, "l1i"));
         l1d_.push_back(std::make_unique<Cache>(
-            "l1d" + std::to_string(p), params.l1d));
+            "l1d" + std::to_string(p), params.l1d, stats, "l1d"));
     }
-    l2_ = std::make_unique<Cache>("l2", params.l2);
+    l2_ = std::make_unique<Cache>("l2", params.l2, stats, "l2");
 }
 
 MemResult
@@ -71,25 +72,6 @@ MemHierarchy::reset()
         cache->reset();
     l2_->reset();
     dram_.reset();
-}
-
-void
-MemHierarchy::mergeStats(StatGroup &out) const
-{
-    StatGroup l1i_total("l1i");
-    StatGroup l1d_total("l1d");
-    for (const auto &cache : l1i_)
-        l1i_total.merge(cache->stats());
-    for (const auto &cache : l1d_)
-        l1d_total.merge(cache->stats());
-    for (const auto &kv : l1i_total.all())
-        out.set("l1i." + kv.first, kv.second);
-    for (const auto &kv : l1d_total.all())
-        out.set("l1d." + kv.first, kv.second);
-    for (const auto &kv : l2_->stats().all())
-        out.set("l2." + kv.first, kv.second);
-    for (const auto &kv : dram_.stats().all())
-        out.set("dram." + kv.first, kv.second);
 }
 
 } // namespace diag::mem

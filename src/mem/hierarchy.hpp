@@ -31,8 +31,10 @@ struct MemResult
 class MainMemory
 {
   public:
-    explicit MainMemory(const MainMemoryParams &params)
-        : params_(params), stats_("dram")
+    /** Counts into @p stats under "dram.*". */
+    MainMemory(const MainMemoryParams &params, StatGroup &stats)
+        : params_(params), st_accesses_(stats, "dram.accesses"),
+          st_wait_cycles_(stats, "dram.wait_cycles")
     {}
 
     /** Line fetch starting at @p now; returns data-ready cycle. */
@@ -47,17 +49,14 @@ class MainMemory
         return grant + params_.latency;
     }
 
-    void reset() { channel_.clear(); stats_.clear(); }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    void reset() { channel_.clear(); }
 
   private:
     MainMemoryParams params_;
     BusyCalendar channel_;
-    StatGroup stats_;
     // Lazy-bound counter handles for the per-access hot path.
-    StatCounter st_accesses_{stats_, "accesses"};
-    StatCounter st_wait_cycles_{stats_, "wait_cycles"};
+    StatCounter st_accesses_;
+    StatCounter st_wait_cycles_;
 };
 
 /**
@@ -68,8 +67,13 @@ class MainMemory
 class MemHierarchy
 {
   public:
-    /** @p ports requesters, each with private L1I + L1D. */
-    MemHierarchy(const MemParams &params, unsigned ports);
+    /**
+     * @p ports requesters, each with private L1I + L1D. Every level
+     * counts into @p stats: the L1s of all ports under "l1i.*" and
+     * "l1d.*", the L2 under "l2.*" and DRAM under "dram.*".
+     */
+    MemHierarchy(const MemParams &params, unsigned ports,
+                 StatGroup &stats);
 
     /** Instruction-line fetch from port @p port. */
     MemResult fetchLine(unsigned port, Addr addr, Cycle now);
@@ -78,7 +82,7 @@ class MemHierarchy
     MemResult dataAccess(unsigned port, Addr addr, bool is_write,
                          Cycle now);
 
-    /** Invalidate all levels and clear statistics. */
+    /** Invalidate all levels (the owner clears the statistics). */
     void reset();
 
     /**
@@ -104,10 +108,6 @@ class MemHierarchy
     Cache &l1i(unsigned port) { return *l1i_[port]; }
     Cache &l1d(unsigned port) { return *l1d_[port]; }
     Cache &l2() { return *l2_; }
-    MainMemory &dram() { return dram_; }
-
-    /** Aggregate stats across all levels into @p out. */
-    void mergeStats(StatGroup &out) const;
 
   private:
     MemResult descend(Cache &l1, Addr addr, bool is_write, Cycle now);

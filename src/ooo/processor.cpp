@@ -8,7 +8,7 @@ namespace diag::ooo
 {
 
 OooProcessor::OooProcessor(OooConfig cfg)
-    : cfg_(std::move(cfg)), mh_(cfg_.mem, cfg_.cores), stats_("ooo")
+    : cfg_(std::move(cfg)), stats_("ooo"), mh_(cfg_.mem, cfg_.cores, stats_)
 {
     for (unsigned c = 0; c < cfg_.cores; ++c)
         cores_.push_back(
@@ -43,7 +43,7 @@ OooProcessor::beginRun(const Program &prog)
         for (auto &core : cores_)
             core->reset();
         mh_.reset();
-        stats_.clear(false);
+        stats_.clear();
         if (warmed_)
             warmCaches();
     }
@@ -84,7 +84,6 @@ OooProcessor::runThreads(const Program &prog,
     rs.cycles = finish;
     rs.counters = stats_;
     rs.counters.set("threads", static_cast<double>(threads.size()));
-    mh_.mergeStats(rs.counters);
     return rs;
 }
 

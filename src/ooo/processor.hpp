@@ -91,8 +91,8 @@ class OooProcessor
 
     OooConfig cfg_;
     SparseMemory mem_;
+    StatGroup stats_;  //!< bound by every component below
     mem::MemHierarchy mh_;
-    StatGroup stats_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<CoreResult> results_;
     bool program_loaded_ = false;

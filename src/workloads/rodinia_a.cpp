@@ -26,9 +26,6 @@ using detail::writeF32;
 // backprop: neural-net layer forward pass (matrix-vector + activation)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
 constexpr u32 kBpIn = 16;
 constexpr u32 kBpOut = 1536;
 constexpr Addr kBpW = 0x100000;     // weights [out][in], row stride 64B
@@ -36,7 +33,7 @@ constexpr Addr kBpInV = 0x120000;   // input vector
 constexpr Addr kBpOutV = 0x121000;  // output vector
 constexpr Addr kBpRes = 0x130000;   // per-thread partial sums
 
-std::string
+static std::string
 backpropTaps()
 {
     // 16 unrolled weight taps against the preloaded input registers.
@@ -49,7 +46,7 @@ backpropTaps()
     return taps;
 }
 
-std::string
+static std::string
 backpropPrologue()
 {
     std::string s;
@@ -66,7 +63,7 @@ backpropPrologue()
     return s;
 }
 
-std::string
+static std::string
 backpropEpilogue()
 {
     return R"(
@@ -181,6 +178,9 @@ constexpr Addr kBfsRow = 0x100000;  // row offsets, kBfsNodes+1 words
 constexpr Addr kBfsCol = 0x104000;  // edge targets
 constexpr Addr kBfsDist = 0x110000; // distances (output)
 
+namespace
+{
+
 struct BfsGraph
 {
     std::vector<u32> row;
@@ -212,6 +212,8 @@ bfsGraph()
     g.row.push_back(static_cast<u32>(g.col.size()));
     return g;
 }
+
+} // namespace
 
 Workload
 makeBfs()
@@ -636,13 +638,5 @@ head:
     };
     return w;
 }
-
-} // namespace
-
-// Factories used by suites.cpp.
-Workload workloadBackprop() { return makeBackprop(); }
-Workload workloadBfs() { return makeBfs(); }
-Workload workloadHeartwall() { return makeHeartwall(); }
-Workload workloadHotspot() { return makeHotspot(); }
 
 } // namespace diag::workloads

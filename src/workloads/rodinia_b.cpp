@@ -18,9 +18,6 @@ using detail::partitionBounds;
 using detail::readF32;
 using detail::writeF32;
 
-namespace
-{
-
 // ---------------------------------------------------------------------
 // kmeans: nearest-centroid assignment (2-D points, 4 centroids)
 // ---------------------------------------------------------------------
@@ -32,7 +29,7 @@ constexpr Addr kKmCent = 0x104000;    // 4 centroid pairs
 constexpr Addr kKmAssign = 0x105000;  // best-centroid index per point
 
 /** Distance + argmin body. Expects point in ft0/ft1; result in t2. */
-std::string
+static std::string
 kmeansBody()
 {
     std::string s;
@@ -59,7 +56,7 @@ kmeansBody()
     return s;
 }
 
-std::string
+static std::string
 kmeansPrologue()
 {
     std::string s = "_start:\n";
@@ -389,7 +386,7 @@ constexpr Addr kNnMin = 0x118000;   // per-thread (min, index) pairs
 constexpr float kNnQx = 4.5f;
 constexpr float kNnQy = 5.25f;
 
-std::string
+static std::string
 nnPrologue()
 {
     return "_start:\n"
@@ -402,7 +399,7 @@ nnPrologue()
            partitionBounds(kNnR);
 }
 
-std::string
+static std::string
 nnReduce()
 {
     return R"(
@@ -504,12 +501,5 @@ head:
     };
     return w;
 }
-
-} // namespace
-
-Workload workloadKmeans() { return makeKmeans(); }
-Workload workloadLavamd() { return makeLavamd(); }
-Workload workloadLud() { return makeLud(); }
-Workload workloadNn() { return makeNn(); }
 
 } // namespace diag::workloads

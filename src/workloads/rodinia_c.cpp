@@ -20,9 +20,6 @@ using detail::partitionBounds;
 using detail::readF32;
 using detail::writeF32;
 
-namespace
-{
-
 // ---------------------------------------------------------------------
 // nw: Needleman-Wunsch sequence alignment DP over independent tiles
 // ---------------------------------------------------------------------
@@ -169,7 +166,7 @@ constexpr Addr kPfW = 0x104000;    // weights (output)
 constexpr Addr kPfSum = 0x110000;  // per-thread weight sums
 constexpr float kPfObs = 3.75f;
 
-std::string
+static std::string
 pfPrologue()
 {
     return "_start:\n"
@@ -182,7 +179,7 @@ pfPrologue()
            partitionBounds(kPfN);
 }
 
-std::string
+static std::string
 pfReduce()
 {
     return R"(
@@ -567,12 +564,5 @@ head:
     };
     return w;
 }
-
-} // namespace
-
-Workload workloadNw() { return makeNw(); }
-Workload workloadParticlefilter() { return makeParticlefilter(); }
-Workload workloadPathfinder() { return makePathfinder(); }
-Workload workloadSrad() { return makeSrad(); }
 
 } // namespace diag::workloads

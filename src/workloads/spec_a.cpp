@@ -22,9 +22,6 @@ using detail::partitionBounds;
 using detail::readF32;
 using detail::writeF32;
 
-namespace
-{
-
 // ---------------------------------------------------------------------
 // mcf: pointer chasing over per-tile permutation cycles
 // ---------------------------------------------------------------------
@@ -37,7 +34,7 @@ constexpr Addr kMcfNext = 0x100000;  // permutation (global indices)
 constexpr Addr kMcfVal = 0x180000;   // per-entry values
 constexpr Addr kMcfOut = 0x200000;   // per-tile accumulator
 
-std::vector<u32>
+static std::vector<u32>
 mcfPermutation()
 {
     Rng rng(0x3cf3cf);
@@ -521,12 +518,5 @@ stash:
     };
     return w;
 }
-
-} // namespace
-
-Workload workloadMcf() { return makeMcf(); }
-Workload workloadLbm() { return makeLbm(); }
-Workload workloadX264() { return makeX264(); }
-Workload workloadDeepsjeng() { return makeDeepsjeng(); }
 
 } // namespace diag::workloads

@@ -18,9 +18,6 @@ using detail::partitionBounds;
 using detail::readF32;
 using detail::writeF32;
 
-namespace
-{
-
 // ---------------------------------------------------------------------
 // leela: Monte-Carlo playout kernel (RNG-driven board mutation)
 // ---------------------------------------------------------------------
@@ -509,12 +506,5 @@ makeImagick()
     };
     return w;
 }
-
-} // namespace
-
-Workload workloadLeela() { return makeLeela(); }
-Workload workloadNab() { return makeNab(); }
-Workload workloadXz() { return makeXz(); }
-Workload workloadImagick() { return makeImagick(); }
 
 } // namespace diag::workloads

@@ -13,26 +13,26 @@ namespace diag::workloads
 {
 
 // Factories defined in rodinia_*.cpp / spec_*.cpp.
-Workload workloadBackprop();
-Workload workloadBfs();
-Workload workloadHeartwall();
-Workload workloadHotspot();
-Workload workloadKmeans();
-Workload workloadLavamd();
-Workload workloadLud();
-Workload workloadNn();
-Workload workloadNw();
-Workload workloadParticlefilter();
-Workload workloadPathfinder();
-Workload workloadSrad();
-Workload workloadMcf();
-Workload workloadLbm();
-Workload workloadX264();
-Workload workloadDeepsjeng();
-Workload workloadLeela();
-Workload workloadNab();
-Workload workloadXz();
-Workload workloadImagick();
+Workload makeBackprop();
+Workload makeBfs();
+Workload makeHeartwall();
+Workload makeHotspot();
+Workload makeKmeans();
+Workload makeLavamd();
+Workload makeLud();
+Workload makeNn();
+Workload makeNw();
+Workload makeParticlefilter();
+Workload makePathfinder();
+Workload makeSrad();
+Workload makeMcf();
+Workload makeLbm();
+Workload makeX264();
+Workload makeDeepsjeng();
+Workload makeLeela();
+Workload makeNab();
+Workload makeXz();
+Workload makeImagick();
 
 namespace
 {
@@ -47,26 +47,26 @@ struct Entry
 /** Every bundled workload in suite order: the Rodinia-class kernels
  *  first, then the SPEC-class ones. A lookup builds only its match. */
 constexpr Entry kWorkloads[] = {
-    {"backprop", workloadBackprop},
-    {"bfs", workloadBfs},
-    {"heartwall", workloadHeartwall},
-    {"hotspot", workloadHotspot},
-    {"kmeans", workloadKmeans},
-    {"lavamd", workloadLavamd},
-    {"lud", workloadLud},
-    {"nn", workloadNn},
-    {"nw", workloadNw},
-    {"particlefilter", workloadParticlefilter},
-    {"pathfinder", workloadPathfinder},
-    {"srad", workloadSrad},
-    {"mcf", workloadMcf},
-    {"lbm", workloadLbm},
-    {"x264", workloadX264},
-    {"deepsjeng", workloadDeepsjeng},
-    {"leela", workloadLeela},
-    {"nab", workloadNab},
-    {"xz", workloadXz},
-    {"imagick", workloadImagick},
+    {"backprop", makeBackprop},
+    {"bfs", makeBfs},
+    {"heartwall", makeHeartwall},
+    {"hotspot", makeHotspot},
+    {"kmeans", makeKmeans},
+    {"lavamd", makeLavamd},
+    {"lud", makeLud},
+    {"nn", makeNn},
+    {"nw", makeNw},
+    {"particlefilter", makeParticlefilter},
+    {"pathfinder", makePathfinder},
+    {"srad", makeSrad},
+    {"mcf", makeMcf},
+    {"lbm", makeLbm},
+    {"x264", makeX264},
+    {"deepsjeng", makeDeepsjeng},
+    {"leela", makeLeela},
+    {"nab", makeNab},
+    {"xz", makeXz},
+    {"imagick", makeImagick},
 };
 constexpr std::size_t kRodiniaCount = 12;
 
@@ -81,6 +81,12 @@ build(std::span<const Entry> entries)
 }
 
 } // namespace
+
+std::vector<Workload>
+allWorkloads()
+{
+    return build(kWorkloads);
+}
 
 std::vector<Workload>
 rodiniaSuite()

@@ -68,6 +68,9 @@ struct Workload
     u64 max_insts = 100'000'000;
 };
 
+/** Every bundled workload: rodiniaSuite() followed by specSuite(). */
+std::vector<Workload> allWorkloads();
+
 /** The Rodinia-class suite (12 kernels, Fig. 9 / Fig. 12). */
 std::vector<Workload> rodiniaSuite();
 

@@ -481,9 +481,9 @@ unsigned
 compareScans(const Program &prog, const std::string &label)
 {
     const core::DiagConfig cfg = core::DiagConfig::f4c32();
-    mem::MemHierarchy mh(cfg.mem, 1);
-    mem::Bus bus("lint_diff_bus");
     StatGroup stats("lint_diff");
+    mem::MemHierarchy mh(cfg.mem, 1, stats);
+    mem::Bus bus(stats);
     core::Ring ring(cfg, 0, mh, bus, stats);
 
     SparseMemory mem;
@@ -497,8 +497,9 @@ compareScans(const Program &prog, const std::string &label)
         EXPECT_EQ(stat.ok(), dyn.ok)
             << label << " simt_s at 0x" << std::hex << pc << " static "
             << simtScanStatusName(stat.status);
-        if (stat.ok() && dyn.ok)
+        if (stat.ok() && dyn.ok) {
             EXPECT_EQ(stat.simt_e_pc, dyn.simt_e_pc) << label;
+        }
     }
     return regions;
 }
@@ -520,35 +521,25 @@ TEST(LintDifferential, CraftedRegionsAgreeWithTheRing)
 TEST(LintDifferential, WorkloadRegionsAgreeWithTheRing)
 {
     unsigned regions = 0;
-    auto sweep = [&](const std::vector<workloads::Workload> &suite) {
-        for (const workloads::Workload &w : suite) {
-            if (w.asm_simt.empty())
-                continue;
-            regions += compareScans(assembler::assemble(w.asm_simt),
-                                    w.name);
-        }
-    };
-    sweep(workloads::rodiniaSuite());
-    sweep(workloads::specSuite());
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        if (w.asm_simt.empty())
+            continue;
+        regions +=
+            compareScans(assembler::assemble(w.asm_simt), w.name);
+    }
     EXPECT_GT(regions, 0u);
 }
 
 TEST(LintDifferential, AllBundledWorkloadsLintWithoutFindings)
 {
-    auto sweep = [&](const std::vector<workloads::Workload> &suite) {
-        for (const workloads::Workload &w : suite) {
-            for (const std::string *src : {&w.asm_serial, &w.asm_simt}) {
-                if (src->empty())
-                    continue;
-                const LintResult r =
-                    lint(*src, LintOptions::abiEntry());
-                EXPECT_EQ(r.errors(), 0u)
-                    << w.name << ":\n" << renderText(r);
-                EXPECT_EQ(r.warnings(), 0u)
-                    << w.name << ":\n" << renderText(r);
-            }
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        for (const std::string *src : {&w.asm_serial, &w.asm_simt}) {
+            if (src->empty())
+                continue;
+            const LintResult r = lint(*src, LintOptions::abiEntry());
+            EXPECT_EQ(r.errors(), 0u) << w.name << ":\n" << renderText(r);
+            EXPECT_EQ(r.warnings(), 0u)
+                << w.name << ":\n" << renderText(r);
         }
-    };
-    sweep(workloads::rodiniaSuite());
-    sweep(workloads::specSuite());
+    }
 }

@@ -363,17 +363,12 @@ TEST(Diagnostics, WorkloadAnalysisIsByteStable)
             assembler::assemble(src), LintOptions::abiEntry());
         return renderJson(a.lint) + renderBoundJson(a.bound);
     };
-    auto checkSuite = [&](const std::vector<workloads::Workload> &ws) {
-        for (const auto &w : ws) {
-            EXPECT_EQ(renderAll(w.asm_serial), renderAll(w.asm_serial))
+    for (const auto &w : workloads::allWorkloads()) {
+        EXPECT_EQ(renderAll(w.asm_serial), renderAll(w.asm_serial))
+            << w.name;
+        if (!w.asm_simt.empty()) {
+            EXPECT_EQ(renderAll(w.asm_simt), renderAll(w.asm_simt))
                 << w.name;
-            if (!w.asm_simt.empty()) {
-                EXPECT_EQ(renderAll(w.asm_simt),
-                          renderAll(w.asm_simt))
-                    << w.name;
-            }
         }
-    };
-    checkSuite(workloads::rodiniaSuite());
-    checkSuite(workloads::specSuite());
+    }
 }

@@ -341,9 +341,7 @@ TEST(StreamValidate, EveryWorkloadAffineVerdictMatchesTrace)
     // simulator's recorded addresses (no false affine), and every
     // proven conflict-free stream must record zero conflicts.
     const core::DiagConfig cfg = core::DiagConfig::f4c32();
-    auto all = workloads::rodiniaSuite();
-    for (auto &w : workloads::specSuite())
-        all.push_back(w);
+    const auto all = workloads::allWorkloads();
     unsigned validated = 0;
     for (const auto &w : all) {
         if (w.asm_simt.empty())
@@ -370,9 +368,7 @@ TEST(StreamValidate, EveryWorkloadLoopVerdictMatchesTrace)
     // address sequences (segmented into loop entries at the loop's
     // taken backward branch).
     const core::DiagConfig cfg = core::DiagConfig::f4c32();
-    auto all = workloads::rodiniaSuite();
-    for (auto &w : workloads::specSuite())
-        all.push_back(w);
+    const auto all = workloads::allWorkloads();
     u64 replayed_iters = 0;
     unsigned affine_checked = 0;
     for (const auto &w : all) {

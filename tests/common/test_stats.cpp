@@ -1,8 +1,8 @@
 /**
  * @file
  * StatGroup serialization and lifecycle: the byte-stable JSON dump
- * (golden-file regression), key escaping, the two clear() modes, and
- * the StatCounter handle contract.
+ * (golden-file regression), key escaping, clear() dropping the key
+ * set, and the StatCounter handle contract.
  */
 #include <fstream>
 #include <sstream>
@@ -76,36 +76,14 @@ TEST(StatsJson, EscapesHostileKeys)
     EXPECT_NE(out.find("quote\\\"back\\\\slash"), std::string::npos);
 }
 
-TEST(StatsClear, RetainKeysZeroesValuesButKeepsSchema)
-{
-    StatGroup g = sampleGroup();
-    g.clear();
-    EXPECT_TRUE(g.has("activations"));
-    EXPECT_EQ(g.get("activations"), 0.0);
-    EXPECT_EQ(g.all().size(), 5u);
-    // A dump after clear() lists the same keys (schema stability).
-    EXPECT_NE(dumpJsonOf(g).find("\"pi\": 0"), std::string::npos);
-}
-
 TEST(StatsClear, DropKeysForgetsTheSchema)
 {
     StatGroup g = sampleGroup();
-    g.clear(/*retain_keys=*/false);
+    g.clear();
     EXPECT_FALSE(g.has("activations"));
     EXPECT_TRUE(g.all().empty());
     EXPECT_EQ(dumpJsonOf(g),
               "{\"group\": \"diag\", \"counters\": {}}\n");
-}
-
-TEST(StatsClear, MergeAfterClearStartsFresh)
-{
-    StatGroup g = sampleGroup();
-    StatGroup other("diag");
-    other.set("activations", 10);
-    g.clear();
-    g.merge(other);
-    EXPECT_EQ(g.get("activations"), 10.0);
-    EXPECT_EQ(g.get("ipc"), 0.0);  // retained key, still zero
 }
 
 TEST(StatCounter, KeyIsAbsentUntilTheFirstInc)
@@ -138,7 +116,7 @@ TEST(StatCounter, RebindsAndCountsFromZeroAfterDroppingKeys)
     StatGroup g("g");
     StatCounter c(g, "events");
     c.inc(5);
-    g.clear(/*retain_keys=*/false);
+    g.clear();
     EXPECT_FALSE(g.has("events"));
     EXPECT_EQ(c.read(), 0.0);
     EXPECT_FALSE(g.has("events"));
@@ -148,18 +126,18 @@ TEST(StatCounter, RebindsAndCountsFromZeroAfterDroppingKeys)
     EXPECT_EQ(c.read(), 1.0);
 }
 
-TEST(StatCounter, RetainingClearKeepsTheBinding)
+TEST(StatCounter, KeyBuiltAtRunTimeOutlivesItsSource)
 {
+    // Components bind "<prefix>.<event>" keys built at construction;
+    // the handle keeps its own copy for later re-binds.
     StatGroup g("g");
-    StatCounter c(g, "events");
-    c.inc(5);
-    const u64 epoch = g.epoch();
-    g.clear(/*retain_keys=*/true);
-    EXPECT_EQ(g.epoch(), epoch);
-    EXPECT_TRUE(g.has("events"));
-    EXPECT_EQ(c.read(), 0.0);
+    std::string prefix = "l1d";
+    StatCounter c(g, prefix + ".reads");
+    prefix = "overwritten";
+    c.inc();
+    g.clear();
     c.inc(2);
-    EXPECT_EQ(g.get("events"), 2.0);
+    EXPECT_EQ(g.get("l1d.reads"), 2.0);
     EXPECT_EQ(g.all().size(), 1u);
 }
 

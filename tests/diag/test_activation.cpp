@@ -17,8 +17,8 @@ namespace
 struct Rig
 {
     DiagConfig cfg = DiagConfig::f4c2();
-    mem::MemHierarchy mh{cfg.mem, 1};
     StatGroup stats{"t"};
+    mem::MemHierarchy mh{cfg.mem, 1, stats};
     ActivationEngine engine{cfg, mh, 0, stats};
     SparseMemory mem;
     ThreadMemCtx tmc{mem, cfg.mem_lane_entries};

@@ -106,13 +106,10 @@ sweepWorkload(const workloads::Workload &w, const DiagConfig &cfg,
 TEST(SkipIdleEquivalence, AllBundledWorkloadsMatchDense)
 {
     const DiagConfig cfg = DiagConfig::f4c32();
-    for (const auto &suite :
-         {workloads::rodiniaSuite(), workloads::specSuite()}) {
-        for (const workloads::Workload &w : suite) {
-            sweepWorkload(w, cfg, false);
-            if (!w.asm_simt.empty())
-                sweepWorkload(w, cfg, true);
-        }
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        sweepWorkload(w, cfg, false);
+        if (!w.asm_simt.empty())
+            sweepWorkload(w, cfg, true);
     }
 }
 

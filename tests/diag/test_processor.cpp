@@ -405,8 +405,24 @@ TEST(DiagProcessor, RunningDifferentProgramReloadsMemory)
     // A processor that already ran program A must not execute A's
     // stale image when handed program B (the old `if
     // (!program_loaded_)` guard skipped the reload entirely).
+    //
+    // Program A stores through a strided loop, so it touches l1d, l2
+    // and dram counters that B (no data accesses) never reports; a
+    // reused processor must not list them as zero-valued keys either.
     const Program a = asmProgram(R"(
+        .data
+        buf: .space 65536
+        .text
         _start:
+            la t0, buf
+            li t1, 0
+            li t2, 1024
+        loop:
+            slli t3, t1, 6      # stride 64B: every store a new line
+            add t4, t0, t3
+            sw t1, 0(t4)
+            addi t1, t1, 1
+            bne t1, t2, loop
             li a0, 111
             ebreak
     )");

@@ -16,9 +16,7 @@ std::vector<std::string>
 allNames()
 {
     std::vector<std::string> names;
-    for (const auto &w : workloads::rodiniaSuite())
-        names.push_back(w.name);
-    for (const auto &w : workloads::specSuite())
+    for (const auto &w : workloads::allWorkloads())
         names.push_back(w.name);
     return names;
 }

@@ -26,7 +26,8 @@ smallCache()
 
 TEST(Cache, ColdMissThenHit)
 {
-    Cache c("c", smallCache());
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
     const CacheLookup miss = c.access(0x1000, false, 10);
     EXPECT_FALSE(miss.hit);
     EXPECT_EQ(miss.grant, 10u);
@@ -38,7 +39,8 @@ TEST(Cache, ColdMissThenHit)
 
 TEST(Cache, SameLineDifferentOffsetHits)
 {
-    Cache c("c", smallCache());
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
     c.fill(0x1000, false, 0);
     EXPECT_TRUE(c.access(0x103f, false, 10).hit);
     EXPECT_FALSE(c.access(0x1040, false, 20).hit);
@@ -46,7 +48,8 @@ TEST(Cache, SameLineDifferentOffsetHits)
 
 TEST(Cache, LruEviction)
 {
-    Cache c("c", smallCache());  // 4 sets; set stride is 256 bytes
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");  // 4 sets; set stride is 256 bytes
     // Four lines mapping to set 0 fill all ways.
     for (u32 i = 0; i < 4; ++i)
         c.fill(0x1000 + i * 0x100, false, i);
@@ -61,18 +64,20 @@ TEST(Cache, LruEviction)
 
 TEST(Cache, DirtyEvictionSignalsWriteback)
 {
-    Cache c("c", smallCache());
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
     c.fill(0x1000, true, 0);  // dirty fill
     for (u32 i = 1; i < 4; ++i)
         c.fill(0x1000 + i * 0x100, false, i);
     // Evicting the dirty line returns true.
     EXPECT_TRUE(c.fill(0x1000 + 4 * 0x100, false, 10));
-    EXPECT_EQ(c.stats().get("writebacks"), 1.0);
+    EXPECT_EQ(stats.get("c.writebacks"), 1.0);
 }
 
 TEST(Cache, WriteHitSetsDirty)
 {
-    Cache c("c", smallCache());
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
     c.fill(0x1000, false, 0);
     EXPECT_TRUE(c.access(0x1000, true, 5).hit);
     for (u32 i = 1; i < 4; ++i)
@@ -87,7 +92,8 @@ TEST(Cache, BankConflictSerializes)
     CacheParams p = smallCache();
     p.banks = 2;
     p.bank_occupancy = 3;
-    Cache c("c", p);
+    StatGroup stats;
+    Cache c("c", p, stats, "c");
     c.fill(0x1000, false, 0);
     const CacheLookup a = c.access(0x1000, false, 100);
     const CacheLookup b = c.access(0x1004, false, 100);  // same word8
@@ -104,7 +110,8 @@ TEST(Cache, DirectMapped)
 {
     CacheParams p = smallCache();
     p.assoc = 1;  // 16 sets
-    Cache c("dm", p);
+    StatGroup stats;
+    Cache c("dm", p, stats, "dm");
     c.fill(0x0000, false, 0);
     EXPECT_TRUE(c.access(0x0000, false, 1).hit);
     // Same set (stride = 1024), conflicting line evicts immediately.
@@ -114,16 +121,23 @@ TEST(Cache, DirectMapped)
 
 TEST(Cache, StatsCount)
 {
-    Cache c("c", smallCache());
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
     c.access(0x0, false, 0);
     c.fill(0x0, false, 0);
     c.access(0x0, false, 1);
     c.access(0x0, true, 2);
-    EXPECT_EQ(c.stats().get("reads"), 2.0);
-    EXPECT_EQ(c.stats().get("writes"), 1.0);
-    EXPECT_EQ(c.stats().get("hits"), 2.0);
-    EXPECT_EQ(c.stats().get("misses"), 1.0);
+    EXPECT_EQ(stats.get("c.reads"), 2.0);
+    EXPECT_EQ(stats.get("c.writes"), 1.0);
+    EXPECT_EQ(stats.get("c.hits"), 2.0);
+    EXPECT_EQ(stats.get("c.misses"), 1.0);
+    // The counters belong to the owner's group: reset() invalidates
+    // the tags but leaves them for the owner to clear.
     c.reset();
-    EXPECT_EQ(c.stats().get("hits"), 0.0);
+    EXPECT_EQ(stats.get("c.hits"), 2.0);
     EXPECT_FALSE(c.access(0x0, false, 0).hit);  // invalidated
+    stats.clear();
+    c.access(0x0, false, 1);
+    EXPECT_EQ(stats.get("c.misses"), 1.0);
+    EXPECT_FALSE(stats.has("c.hits"));
 }

@@ -25,7 +25,8 @@ tinyParams()
 
 TEST(Hierarchy, ColdAccessGoesToDram)
 {
-    MemHierarchy mh(tinyParams(), 1);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 1, stats);
     const MemResult r = mh.dataAccess(0, 0x1000, false, 0);
     EXPECT_EQ(r.level, ServedBy::Dram);
     // l1 tag check (4) + l2 tag check (20) + dram (120) + fill
@@ -34,7 +35,8 @@ TEST(Hierarchy, ColdAccessGoesToDram)
 
 TEST(Hierarchy, SecondAccessHitsL1)
 {
-    MemHierarchy mh(tinyParams(), 1);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 1, stats);
     const MemResult cold = mh.dataAccess(0, 0x1000, false, 0);
     const MemResult warm = mh.dataAccess(0, 0x1000, false, cold.done);
     EXPECT_EQ(warm.level, ServedBy::L1);
@@ -44,7 +46,8 @@ TEST(Hierarchy, SecondAccessHitsL1)
 TEST(Hierarchy, L1EvictionStillHitsL2)
 {
     MemParams p = tinyParams();
-    MemHierarchy mh(p, 1);
+    StatGroup stats;
+    MemHierarchy mh(p, 1, stats);
     // L1D: 4KB 2-way = 32 sets. Lines 0x1000, 0x1800, 0x2000 share set 0
     // (set stride = 32 * 64 = 2KB).
     mh.dataAccess(0, 0x1000, false, 0);
@@ -56,7 +59,8 @@ TEST(Hierarchy, L1EvictionStillHitsL2)
 
 TEST(Hierarchy, PortsHavePrivateL1s)
 {
-    MemHierarchy mh(tinyParams(), 2);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 2, stats);
     mh.dataAccess(0, 0x1000, false, 0);
     // Port 1 misses its own L1 but hits the shared L2.
     const MemResult r = mh.dataAccess(1, 0x1000, false, 1000);
@@ -65,7 +69,8 @@ TEST(Hierarchy, PortsHavePrivateL1s)
 
 TEST(Hierarchy, InstructionFetchSeparateFromData)
 {
-    MemHierarchy mh(tinyParams(), 1);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 1, stats);
     mh.fetchLine(0, 0x1000, 0);
     const MemResult refetch = mh.fetchLine(0, 0x1000, 1000);
     EXPECT_EQ(refetch.level, ServedBy::L1);
@@ -77,7 +82,8 @@ TEST(Hierarchy, InstructionFetchSeparateFromData)
 TEST(Hierarchy, DramChannelContention)
 {
     MemParams p = tinyParams();
-    MemHierarchy mh(p, 1);
+    StatGroup stats;
+    MemHierarchy mh(p, 1, stats);
     // Two concurrent cold misses to different L2 banks: second DRAM
     // access waits for the channel occupancy of the first.
     const MemResult a = mh.dataAccess(0, 0x10000, false, 0);
@@ -90,7 +96,8 @@ TEST(Hierarchy, DramChannelContention)
 
 TEST(Hierarchy, ResetRestoresColdState)
 {
-    MemHierarchy mh(tinyParams(), 1);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 1, stats);
     mh.dataAccess(0, 0x1000, false, 0);
     mh.reset();
     const MemResult r = mh.dataAccess(0, 0x1000, false, 0);
@@ -99,25 +106,28 @@ TEST(Hierarchy, ResetRestoresColdState)
 
 TEST(Hierarchy, MergedStats)
 {
-    MemHierarchy mh(tinyParams(), 2);
+    StatGroup stats;
+    MemHierarchy mh(tinyParams(), 2, stats);
     mh.dataAccess(0, 0x1000, false, 0);
     mh.dataAccess(1, 0x2000, false, 0);
-    StatGroup out("mem");
-    mh.mergeStats(out);
-    EXPECT_EQ(out.get("l1d.misses"), 2.0);
-    EXPECT_EQ(out.get("l2.misses"), 2.0);
-    EXPECT_EQ(out.get("dram.accesses"), 2.0);
+    // Both ports' L1Ds count into one "l1d.*" slot.
+    EXPECT_EQ(stats.get("l1d.misses"), 2.0);
+    EXPECT_EQ(stats.get("l2.misses"), 2.0);
+    EXPECT_EQ(stats.get("dram.accesses"), 2.0);
+    EXPECT_FALSE(stats.has("l1i.reads"));
 }
 
 TEST(Bus, FcfsOccupancy)
 {
-    Bus bus("bus");
+    StatGroup stats;
+    Bus bus(stats);
     EXPECT_EQ(bus.request(10, 2), 10u);
     EXPECT_EQ(bus.request(10, 2), 12u);   // queued behind first
     EXPECT_EQ(bus.request(11, 2), 14u);
     EXPECT_FALSE(bus.busyAt(100));
     EXPECT_TRUE(bus.busyAt(15));
-    EXPECT_EQ(bus.stats().get("transfers"), 3.0);
+    EXPECT_EQ(stats.get("bus_transfers"), 3.0);
+    EXPECT_EQ(stats.get("bus_wait_cycles"), 2.0 + 3.0);
     bus.reset();
     EXPECT_EQ(bus.request(0, 1), 0u);
 }

@@ -283,8 +283,23 @@ countersJson(const sim::RunStats &rs)
 
 TEST(OooCore, RunningDifferentProgramReloadsMemory)
 {
+    // Program A stores through a strided loop, so it touches l1d, l2
+    // and dram counters that B (no data accesses) never reports; a
+    // reused processor must not list them as zero-valued keys either.
     const Program a = asmProgram(R"(
+        .data
+        buf: .space 65536
+        .text
         _start:
+            la t0, buf
+            li t1, 0
+            li t2, 1024
+        loop:
+            slli t3, t1, 6      # stride 64B: every store a new line
+            add t4, t0, t3
+            sw t1, 0(t4)
+            addi t1, t1, 1
+            bne t1, t2, loop
             li a0, 111
             ebreak
     )");
@@ -298,6 +313,16 @@ TEST(OooCore, RunningDifferentProgramReloadsMemory)
     EXPECT_EQ(proc.finalReg(0, 10), 111u);
     ASSERT_TRUE(proc.run(b).halted);
     EXPECT_EQ(proc.finalReg(0, 10), 222u);
+
+    // A fresh processor running only B is the reference; the reloaded
+    // processor must report the very same cycles and counters.
+    OooProcessor fresh(OooConfig::baseline8());
+    const sim::RunStats rf = fresh.run(b);
+    OooProcessor twice(OooConfig::baseline8());
+    ASSERT_TRUE(twice.run(a).halted);
+    const sim::RunStats rs = twice.run(b);
+    EXPECT_EQ(rs.cycles, rf.cycles);
+    EXPECT_EQ(countersJson(rs), countersJson(rf));
 }
 
 TEST(OooCore, RunTwiceEqualsRunOnce)

@@ -69,8 +69,9 @@ TEST(StoreTracker, MatchesDequeReference)
                     << "call " << n;
             }
             ASSERT_EQ(t.entries().size(), ref.q.size());
-            if (!ref.q.empty())
+            if (!ref.q.empty()) {
                 ASSERT_EQ(t.entries()[0].addr, ref.q.front().addr);
+            }
         }
         t.reset();
         EXPECT_TRUE(t.entries().empty());

@@ -60,9 +60,7 @@ std::vector<std::string>
 allNames()
 {
     std::vector<std::string> names;
-    for (const auto &w : rodiniaSuite())
-        names.push_back(w.name);
-    for (const auto &w : specSuite())
+    for (const auto &w : allWorkloads())
         names.push_back(w.name);
     return names;
 }
@@ -71,10 +69,7 @@ std::vector<std::string>
 simtNames()
 {
     std::vector<std::string> names;
-    for (const auto &w : rodiniaSuite())
-        if (!w.asm_simt.empty())
-            names.push_back(w.name);
-    for (const auto &w : specSuite())
+    for (const auto &w : allWorkloads())
         if (!w.asm_simt.empty())
             names.push_back(w.name);
     return names;
@@ -96,9 +91,7 @@ TEST_P(WorkloadSerial, GoldenRunPassesCheck)
 TEST_P(WorkloadSerial, LookupMatchesSuiteEntry)
 {
     const std::string name = GetParam();
-    std::vector<Workload> suite = rodiniaSuite();
-    for (Workload &w : specSuite())
-        suite.push_back(std::move(w));
+    const std::vector<Workload> suite = allWorkloads();
     const auto entry =
         std::find_if(suite.begin(), suite.end(),
                      [&](const Workload &w) { return w.name == name; });
@@ -148,6 +141,11 @@ TEST(Workloads, SuiteShapes)
 {
     EXPECT_EQ(rodiniaSuite().size(), 12u);
     EXPECT_EQ(specSuite().size(), 8u);
+    // allWorkloads() is the Rodinia suite followed by the SPEC suite.
+    const std::vector<Workload> all = allWorkloads();
+    ASSERT_EQ(all.size(), 20u);
+    EXPECT_EQ(all.front().name, rodiniaSuite().front().name);
+    EXPECT_EQ(all[12].name, specSuite().front().name);
     Workload w;
     EXPECT_FALSE(tryFindWorkload("no-such-workload", &w));
     // The paper pipelines a subset of benchmarks (purple bars).

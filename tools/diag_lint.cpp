@@ -135,9 +135,7 @@ main(int argc, char **argv)
 
     int bad = 0;
     if (opt.all_workloads) {
-        for (const auto &w : workloads::rodiniaSuite())
-            bad += lintWorkload(w, opt);
-        for (const auto &w : workloads::specSuite())
+        for (const auto &w : workloads::allWorkloads())
             bad += lintWorkload(w, opt);
     } else if (!opt.workload.empty()) {
         bad += lintWorkload(workloads::findWorkload(opt.workload), opt);

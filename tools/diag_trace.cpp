@@ -164,10 +164,7 @@ runAll(const Options &opt)
     // The validated simt inventory: every bundled workload that ships
     // a simt-annotated variant.
     std::vector<workloads::Workload> all;
-    for (auto &w : workloads::rodiniaSuite())
-        if (!w.asm_simt.empty())
-            all.push_back(std::move(w));
-    for (auto &w : workloads::specSuite())
+    for (auto &w : workloads::allWorkloads())
         if (!w.asm_simt.empty())
             all.push_back(std::move(w));
     fatal_if(all.empty(), "no simt-annotated workloads found");

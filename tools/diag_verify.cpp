@@ -220,9 +220,7 @@ main(int argc, char **argv)
                              w.data_ranges, /*abi_entry=*/true});
     };
     if (opt.all_workloads) {
-        for (const auto &w : workloads::rodiniaSuite())
-            addWorkload(w);
-        for (const auto &w : workloads::specSuite())
+        for (const auto &w : workloads::allWorkloads())
             addWorkload(w);
     } else if (!opt.workload.empty()) {
         addWorkload(workloads::findWorkload(opt.workload));
