@@ -28,7 +28,9 @@ namespace diag::bench
 
 using harness::BoundCell;
 using harness::EngineRun;
+using harness::diagCell;
 using harness::MatrixCell;
+using harness::oooCell;
 using harness::RunSpec;
 using harness::Table;
 
@@ -74,17 +76,10 @@ relPerfSingleThread(const std::string &title,
     std::vector<MatrixCell> cells;
     std::vector<BoundCell> bounds;
     for (const auto &w : suite) {
-        cells.push_back({.w = &w,
-                         .spec = {1, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::baseline8()});
+        cells.push_back(
+            oooCell(w, {1, false}, ooo::OooConfig::baseline8()));
         for (const auto &cfg : cfgs)
-            cells.push_back({.w = &w,
-                             .spec = {1, false},
-                             .on_diag = true,
-                             .diag_cfg = cfg,
-                             .ooo_cfg = {}});
+            cells.push_back(diagCell(w, {1, false}, cfg));
         bounds.push_back({.cfg = cfgs.back(), .w = &w,
                           .use_simt = false});
     }
@@ -141,22 +136,13 @@ relPerfMultiThread(const std::string &title,
     for (size_t i = 0; i < suite.size(); ++i) {
         const auto &w = suite[i];
         first_cell[i] = cells.size();
-        cells.push_back({.w = &w,
-                         .spec = {harness::kOooMtThreads, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::multicore12()});
-        cells.push_back({.w = &w,
-                         .spec = {harness::kDiagMtThreads, false},
-                         .on_diag = true,
-                         .diag_cfg = harness::diagMultiThreadConfig(),
-                         .ooo_cfg = {}});
+        cells.push_back(oooCell(w, {harness::kOooMtThreads, false},
+                                ooo::OooConfig::multicore12()));
+        cells.push_back(diagCell(w, {harness::kDiagMtThreads, false},
+                                 harness::diagMultiThreadConfig()));
         if (!w.asm_simt.empty()) {
-            cells.push_back({.w = &w,
-                             .spec = {harness::kDiagMtSimtThreads, true},
-                             .on_diag = true,
-                             .diag_cfg = harness::diagMtSimtConfig(),
-                             .ooo_cfg = {}});
+            cells.push_back(diagCell(w, {harness::kDiagMtSimtThreads, true},
+                                     harness::diagMtSimtConfig()));
             bound_of[i] = static_cast<int>(bounds.size());
             bounds.push_back({.cfg = harness::diagMtSimtConfig(),
                               .w = &w,

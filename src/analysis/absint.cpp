@@ -575,7 +575,7 @@ std::vector<bool>
 mustExecuteBlocks(const Cfg &cfg, unsigned entry_id)
 {
     const size_t nb = cfg.blocks.size();
-    const size_t words = (nb + 63) / 64;
+    const size_t words = nb / 64 + 1;  // never zero: holds the entry
     std::vector<std::vector<u64>> dom(
         nb, std::vector<u64>(words, ~0ull));
     dom[entry_id].assign(words, 0);

@@ -5,6 +5,7 @@
 #include "analysis/cfg.hpp"
 #include "analysis/lint.hpp"
 #include "common/bits.hpp"
+#include "common/log.hpp"
 #include "isa/decoder.hpp"
 
 namespace diag::analysis
@@ -149,6 +150,12 @@ inRegion(const std::vector<SimtRegion> &regions, Addr pc)
         if (pc >= r.simt_s_pc && pc <= r.scan.simt_e_pc)
             return true;
     return false;
+}
+
+std::string
+simtRegionKey(Addr simt_s_pc, const char *what)
+{
+    return detail::vformat("simt_region_%08x_%s", simt_s_pc, what);
 }
 
 } // namespace diag::analysis

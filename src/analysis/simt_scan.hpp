@@ -9,6 +9,7 @@
 #ifndef DIAG_ANALYSIS_SIMT_SCAN_HPP
 #define DIAG_ANALYSIS_SIMT_SCAN_HPP
 
+#include <string>
 #include <vector>
 
 #include "common/sparse_mem.hpp"
@@ -93,6 +94,14 @@ std::vector<SimtRegion> pipelinableRegions(const Cfg &cfg,
 
 /** True iff @p pc lies in [simt_s, simt_e] of one of @p regions. */
 bool inRegion(const std::vector<SimtRegion> &regions, Addr pc);
+
+/**
+ * Key of a per-region counter the ring records for the region it
+ * pipelined at @p simt_s_pc; @p what is "entries", "threads" or
+ * "cycles". The bound validator, the verifier cross-check and the
+ * bottleneck attribution read the same keys back.
+ */
+std::string simtRegionKey(Addr simt_s_pc, const char *what);
 
 } // namespace diag::analysis
 

@@ -50,8 +50,11 @@ class BusyCalendar
     {
         Cycle t = now;
         const size_t i = firstGap(t, occupancy);
-        iv_.insert(iv_.begin() + static_cast<long>(head_ + i),
-                   {t, t + occupancy});
+        if (i == size())  // the usual case: later than every reservation
+            iv_.push_back({t, t + occupancy});
+        else
+            iv_.insert(iv_.begin() + static_cast<long>(head_ + i),
+                       {t, t + occupancy});
         if (size() > cap_) {
             // Forget the oldest reservation. The dead prefix is
             // compacted once it reaches cap_ entries, so dropping costs

@@ -10,6 +10,62 @@
 namespace diag::core
 {
 
+namespace
+{
+
+/**
+ * Analyzer options of a strict run: the machine geometry, and a lane
+ * counts as entry-defined only if every thread initializes it.
+ */
+analysis::LintOptions
+strictLintOptions(const DiagConfig &cfg,
+                  const std::vector<ThreadSpec> &threads)
+{
+    analysis::LintOptions opt;
+    opt.line_bytes = cfg.pes_per_cluster * 4;
+    opt.clusters_per_ring = cfg.clustersPerRing();
+    opt.simt_enabled = cfg.simt_enabled;
+    opt.entry_defined.set();
+    for (const ThreadSpec &spec : threads) {
+        analysis::RegSet regs;
+        for (const auto &[reg, value] : spec.init_regs)
+            regs.set(reg);
+        opt.entry_defined &= regs;
+    }
+    return opt;
+}
+
+/** Strict-mode static lint: fatal() on error-level findings. */
+void
+lintStrict(const Program &prog, const analysis::LintOptions &opt)
+{
+    const analysis::LintResult lint = analysis::lintProgram(prog, opt);
+    if (lint.errors() > 0) {
+        analysis::LintResult errors_only;
+        for (const analysis::Diagnostic &d : lint.diags)
+            if (d.severity == analysis::Severity::Error)
+                errors_only.diags.push_back(d);
+        fatal("program rejected by the static analyzer:\n%s",
+              analysis::renderText(errors_only).c_str());
+    }
+}
+
+/** Strict-mode verification (cfg.verify_enabled): fatal() when
+ *  diag-verify refutes a safety property or proves a race. */
+void
+verifyStrict(const Program &prog, const analysis::LintOptions &lint)
+{
+    analysis::VerifyOptions opt;
+    opt.lint = lint;
+    const analysis::VerifyResult res =
+        analysis::verifyProgram(prog, opt);
+    if (!res.clean())
+        fatal("program rejected by the verifier:\n%s",
+              analysis::renderVerifyText(res).c_str());
+}
+
+} // namespace
+
 DiagProcessor::DiagProcessor(DiagConfig cfg)
     : cfg_(std::move(cfg)), stats_("diag"), mh_(cfg_.mem, 1, stats_),
       bus_(stats_)
@@ -102,64 +158,18 @@ DiagProcessor::attachObs(obs::SimProfile *p)
         ring->setObs(p);
 }
 
-void
-DiagProcessor::lintStrict(const Program &prog,
-                          const std::vector<ThreadSpec> &threads) const
-{
-    analysis::LintOptions opt;
-    opt.line_bytes = cfg_.pes_per_cluster * 4;
-    opt.clusters_per_ring = cfg_.clustersPerRing();
-    opt.simt_enabled = cfg_.simt_enabled;
-    // A lane is entry-defined only if every thread initializes it.
-    opt.entry_defined.set();
-    for (const ThreadSpec &spec : threads) {
-        analysis::RegSet regs;
-        for (const auto &[reg, value] : spec.init_regs)
-            regs.set(reg);
-        opt.entry_defined &= regs;
-    }
-    const analysis::LintResult lint = analysis::lintProgram(prog, opt);
-    if (lint.errors() > 0) {
-        analysis::LintResult errors_only;
-        for (const analysis::Diagnostic &d : lint.diags)
-            if (d.severity == analysis::Severity::Error)
-                errors_only.diags.push_back(d);
-        fatal("program rejected by the static analyzer:\n%s",
-              analysis::renderText(errors_only).c_str());
-    }
-}
-
-void
-DiagProcessor::verifyStrict(const Program &prog,
-                            const std::vector<ThreadSpec> &threads) const
-{
-    analysis::VerifyOptions opt;
-    opt.lint.line_bytes = cfg_.pes_per_cluster * 4;
-    opt.lint.clusters_per_ring = cfg_.clustersPerRing();
-    opt.lint.simt_enabled = cfg_.simt_enabled;
-    opt.lint.entry_defined.set();
-    for (const ThreadSpec &spec : threads) {
-        analysis::RegSet regs;
-        for (const auto &[reg, value] : spec.init_regs)
-            regs.set(reg);
-        opt.lint.entry_defined &= regs;
-    }
-    const analysis::VerifyResult res =
-        analysis::verifyProgram(prog, opt);
-    if (!res.clean())
-        fatal("program rejected by the verifier:\n%s",
-              analysis::renderVerifyText(res).c_str());
-}
-
 sim::RunStats
 DiagProcessor::runThreads(const Program &prog,
                           const std::vector<ThreadSpec> &threads,
                           u64 max_insts)
 {
-    if (cfg_.lint_enabled)
-        lintStrict(prog, threads);
-    if (cfg_.verify_enabled)
-        verifyStrict(prog, threads);
+    if (cfg_.lint_enabled || cfg_.verify_enabled) {
+        const analysis::LintOptions opt = strictLintOptions(cfg_, threads);
+        if (cfg_.lint_enabled)
+            lintStrict(prog, opt);
+        if (cfg_.verify_enabled)
+            verifyStrict(prog, opt);
+    }
     fatal_if(faults_ && faults_->lockstepEnabled() &&
                  threads.size() > 1,
              "golden-lockstep checking shadows a single retirement "

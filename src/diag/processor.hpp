@@ -149,15 +149,6 @@ class DiagProcessor
      */
     void beginRun(const Program &prog);
 
-    /** Strict-mode static lint: fatal() on error-level findings. */
-    void lintStrict(const Program &prog,
-                    const std::vector<ThreadSpec> &threads) const;
-
-    /** Strict-mode verification (cfg.verify_enabled): fatal() when
-     *  diag-verify refutes a safety property or proves a race. */
-    void verifyStrict(const Program &prog,
-                      const std::vector<ThreadSpec> &threads) const;
-
     DiagConfig cfg_;
     SparseMemory mem_;
     StatGroup stats_;  //!< bound by every component below

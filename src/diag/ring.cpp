@@ -33,6 +33,17 @@ trapReason(const ActivationOutput &act)
                            act.exit_pc);
 }
 
+/** A backward branch or JAL: a loop may re-enter the line. */
+bool
+hasBackwardBranch(const std::vector<DecodedInst> &insts)
+{
+    return std::any_of(insts.begin(), insts.end(),
+                       [](const DecodedInst &di) {
+                           return (di.isBranch() || di.op == Op::JAL) &&
+                                  di.imm < 0;
+                       });
+}
+
 } // namespace
 
 Ring::Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
@@ -92,11 +103,17 @@ Ring::enabledClusters() const
 }
 
 void
-Ring::disableCluster(Cluster &cl)
+Ring::unmapLine(const Cluster &cl)
 {
     auto it = resident_.find(cl.line_base);
     if (it != resident_.end() && it->second == cl.index)
         resident_.erase(it);
+}
+
+void
+Ring::disableCluster(Cluster &cl)
+{
+    unmapLine(cl);
     cl.evict();
     cl.disabled = true;
     st_clusters_disabled_.inc();
@@ -139,9 +156,7 @@ Ring::chooseVictim()
 Cycle
 Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
 {
-    if (cl.loaded() && resident_.count(cl.line_base) &&
-        resident_[cl.line_base] == cl.index)
-        resident_.erase(cl.line_base);
+    unmapLine(cl);
 
     // The cluster must finish draining before it can be re-loaded.
     const Cycle start = std::max(when, cl.free_at);
@@ -173,13 +188,7 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
             dl.insts.push_back(decode(mem.read32(line + 4 * i)));
         // Skip-idle metadata, derived once per decode instead of once
         // per activation.
-        dl.has_backward_branch = false;
-        for (const DecodedInst &di : dl.insts) {
-            if ((di.isBranch() || di.op == Op::JAL) && di.imm < 0) {
-                dl.has_backward_branch = true;
-                break;
-            }
-        }
+        dl.has_backward_branch = hasBackwardBranch(dl.insts);
     }
     cl.insts = dl.insts;
     cl.has_backward_branch = dl.has_backward_branch;
@@ -192,21 +201,20 @@ Ring::Resident
 Ring::ensureLoaded(Addr line, Cycle when, SparseMemory &mem)
 {
     auto it = resident_.find(line);
+    Cluster *cl = nullptr;
     if (it != resident_.end()) {
-        Cluster &cl = clusters_[it->second];
-        cl.last_use = ++use_counter_;
+        cl = &clusters_[it->second];
+        cl->last_use = ++use_counter_;
         if (cfg_.reuse_enabled)
-            return {&cl, cl.ready_at, true};
+            return {cl, cl->ready_at, true};
         // Ablation: without datapath reuse every activation re-fetches
         // and re-decodes its line, even when it is still resident.
-        const Cycle ready = loadLine(cl, line, when, mem);
-        resident_[line] = cl.index;
-        return {&cl, ready, false};
+    } else {
+        cl = &chooseVictim();
     }
-    Cluster &victim = chooseVictim();
-    const Cycle ready = loadLine(victim, line, when, mem);
-    resident_[line] = victim.index;
-    return {&victim, ready, false};
+    const Cycle ready = loadLine(*cl, line, when, mem);
+    resident_[line] = cl->index;
+    return {cl, ready, false};
 }
 
 void
@@ -247,10 +255,94 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
         res.stop_reason = std::move(reason);
         res.final_regs = regs;
     };
+    // The thread ended in @p act: it halted (EBREAK/ECALL) or trapped.
+    auto halt = [&](const ActivationOutput &act) {
+        res.halted = !act.faulted;
+        res.faulted = act.faulted;
+        stop(act.end_cycle, act.exit_pc,
+             act.faulted ? trapReason(act) : std::string());
+    };
+    // Profile and trace one activation of @p cl entered at @p at.
+    auto notice = [&](const Cluster &cl, Addr at, Cycle start,
+                      const ActivationOutput &act, bool reused) {
+        if (obs_)
+            ++obs_->dense_activations;
+        if (trc_)
+            trc_->activation(static_cast<u8>(index_),
+                             static_cast<u16>(cl.index), at, start,
+                             act.end_cycle, reused, act.retired);
+    };
+    // Recovery tail of every detected fault: abort with @p why once
+    // the budget is spent, else restore the checkpointed pc and lane
+    // file and re-enter after the penalty counted from @p from.
+    auto recover = [&](Cycle from, std::string why) {
+        if (!faults_->recoveryBudgetLeft()) {
+            res.aborted = true;
+            stop(from, pc, std::move(why));
+            return false;
+        }
+        faults_->noteRecovery();
+        stats_.inc("fault_recoveries");
+        pc = ckpt.pc;
+        regs = ckpt.regs;
+        const Cycle resume = from + faults_->detect().recovery_penalty;
+        pc_enter = resume;
+        min_start = resume;
+        if (trc_)
+            trc_->rollback(static_cast<u8>(index_), pc, resume,
+                           faults_->tally().recoveries);
+        return true;
+    };
+    // Lockstep check after an activation on @p cl that ended at @p end.
+    // On a retirement mismatch the oracle flagged, discard the
+    // activation's architectural effects (precise at the activation
+    // boundary), roll back and re-execute; a cluster blamed repeatedly
+    // is taken offline. True on a divergence: the caller re-enters the
+    // loop, or returns res if it was aborted.
+    auto diverged = [&](Cycle end, Cluster &cl) {
+        if (!faults_ || !faults_->divergencePending())
+            return false;
+        stats_.inc("fault_lockstep_detections");
+        faults_->noteLockstepDetection();
+        if (!recover(end, "lockstep: " + faults_->divergenceReason() +
+                              " (recovery budget exhausted)"))
+            return true;
+        faults_->undoLog().rollback(mem);
+        retired = ckpt.retired;
+        tmc = *ckpt.mem_lanes;
+        inflight = ckpt.inflight;
+        faults_->oracleRewind();
+        faults_->clearDivergence();
+        if (faults_->strike(cl.index) && enabledClusters() > 2)
+            disableCluster(cl);
+        return true;
+    };
+    // Lanes hand over to the next line's cluster through the
+    // inter-cluster latch.
+    auto fallThrough = [&](const ActivationOutput &act) {
+        pc = act.exit_pc;
+        pc_enter = act.exit_resolve + cfg_.inter_cluster_latch;
+        min_start = 0;
+        regs.delay(cfg_.inter_cluster_latch);
+    };
+    // Mispredicted control transfer to a far or non-resident target,
+    // resolved at @p resolve: register file over the bus plus the
+    // squash re-steer.
+    auto busHandover = [&](Cycle resolve) {
+        const Cycle grant =
+            bus_.request(resolve, cfg_.bus_regfile_transfer);
+        const Cycle xfer = grant + cfg_.bus_regfile_transfer;
+        regs.clampThenDelay(grant, cfg_.bus_regfile_transfer);
+        pc_enter = xfer;
+        min_start = resolve + cfg_.squash_resteer;
+        st_ctrl_stall_cycles_.inc(static_cast<double>(xfer - resolve));
+    };
 
     u64 activations = 0;
 
     while (retired < max_insts) {
+        // The cycle the thread stands at on this activation boundary.
+        const Cycle now = std::max(pc_enter, min_start);
         // Cooperative host cancellation / wall-clock watchdog: the
         // flag is one atomic load per activation; the deadline (a
         // clock read) is consulted on the first activation and every
@@ -260,9 +352,8 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
             (cancel_->cancelled() ||
              ((activations++ & 63) == 0 && cancel_->expired()))) {
             res.timed_out = true;
-            stop(std::max(pc_enter, min_start), pc,
-                 detail::vformat("host watchdog: %s",
-                                 cancel_->reason()));
+            stop(now, pc,
+                 detail::vformat("host watchdog: %s", cancel_->reason()));
             return res;
         }
         // Hardware trap: a misaligned PC (reachable through jalr off a
@@ -270,17 +361,15 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
         // I-line slot.
         if (pc & 3u) {
             res.faulted = true;
-            stop(std::max(pc_enter, min_start), pc,
-                 detail::vformat("trap: misaligned pc 0x%x", pc));
+            stop(now, pc, detail::vformat("trap: misaligned pc 0x%x", pc));
             return res;
         }
         // Forward-progress watchdog: activation boundaries that stop
         // retiring instructions mean a control-unit livelock.
-        if (wd.onProgress(retired) ||
-            wd.onCycle(std::max(pc_enter, min_start))) {
+        if (wd.onProgress(retired) || wd.onCycle(now)) {
             dumpState(wd.reason().c_str());
             res.timed_out = true;
-            stop(std::max(pc_enter, min_start), pc, wd.reason());
+            stop(now, pc, wd.reason());
             return res;
         }
         if (faults_) {
@@ -299,35 +388,18 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
             faults_->oracleMark();
             faults_->onBoundary(regs, tmc, mem, mh_, retired);
             if (trc_)
-                trc_->checkpoint(static_cast<u8>(index_), pc,
-                                 std::max(pc_enter, min_start), retired);
+                trc_->checkpoint(static_cast<u8>(index_), pc, now, retired);
             if (faults_->parityEnabled()) {
                 const int bad = faults_->paritySweep(regs);
                 if (bad >= 0) {
                     stats_.inc("fault_parity_detections");
                     faults_->noteParityDetection();
-                    if (!faults_->recoveryBudgetLeft()) {
-                        res.aborted = true;
-                        stop(std::max(pc_enter, min_start), pc,
-                             detail::vformat(
-                                 "parity error on lane %d: recovery "
-                                 "budget exhausted", bad));
+                    // Lane scrub before re-entry.
+                    if (!recover(now, detail::vformat(
+                                          "parity error on lane %d: "
+                                          "recovery budget exhausted",
+                                          bad)))
                         return res;
-                    }
-                    // Lane scrub: restore the checkpointed lane file
-                    // and pay the recovery penalty before re-entry.
-                    faults_->noteRecovery();
-                    stats_.inc("fault_recoveries");
-                    regs = ckpt.regs;
-                    const Cycle resume =
-                        std::max(pc_enter, min_start) +
-                        faults_->detect().recovery_penalty;
-                    pc_enter = resume;
-                    min_start = resume;
-                    if (trc_)
-                        trc_->rollback(static_cast<u8>(index_), pc,
-                                       resume,
-                                       faults_->tally().recoveries);
                 }
             }
         }
@@ -357,30 +429,15 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
         // Overlap: prefetch the fall-through line while executing —
         // but not while a loop is resident in this line (a backward
         // branch will re-enter it; prefetching would evict the loop's
-        // own lines in small rings, defeating reuse).
-        bool has_backward_branch = cl.has_backward_branch;
-        if (cfg_.dense_loop) {
-            // Dense escape hatch: rescan the (unchanged) line the way
-            // the pre-skip-idle control unit did. Same answer as the
-            // cached flag, by construction.
-            has_backward_branch = false;
-            for (const DecodedInst &di : cl.insts) {
-                if ((di.isBranch() || di.op == Op::JAL) && di.imm < 0) {
-                    has_backward_branch = true;
-                    break;
-                }
-            }
-        }
-        if (!has_backward_branch)
+        // own lines in small rings, defeating reuse). The dense escape
+        // hatch rescans the (unchanged) line the way the pre-skip-idle
+        // control unit did: same answer as the cached flag.
+        if (!(cfg_.dense_loop ? hasBackwardBranch(cl.insts)
+                              : cl.has_backward_branch))
             prefetch(line + line_bytes_, in.min_start, mem);
 
         const ActivationOutput act = engine_.run(in, regs, tmc);
-        if (obs_)
-            ++obs_->dense_activations;
-        if (trc_)
-            trc_->activation(static_cast<u8>(index_),
-                             static_cast<u16>(cl.index), pc, in.min_start,
-                             act.end_cycle, got.reused, act.retired);
+        notice(cl, pc, in.min_start, act, got.reused);
         inform("ring%u act cl%u pc=0x%x..0x%x start=%llu done=%llu "
                "retired=%llu exit=%d%s",
                index_, cl.index, pc, act.exit_pc,
@@ -393,39 +450,9 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
         // trail behind.
         cl.free_at = act.compute_done;
         cl.last_use = ++use_counter_;
-        if (faults_ && faults_->divergencePending()) {
-            // Lockstep oracle flagged a retirement mismatch inside this
-            // activation: discard its architectural effects (precise at
-            // the activation boundary), roll back, and re-execute. A
-            // cluster blamed repeatedly is taken offline.
-            stats_.inc("fault_lockstep_detections");
-            faults_->noteLockstepDetection();
-            if (!faults_->recoveryBudgetLeft()) {
-                res.aborted = true;
-                stop(act.end_cycle, pc,
-                     "lockstep: " + faults_->divergenceReason() +
-                         " (recovery budget exhausted)");
+        if (diverged(act.end_cycle, cl)) {
+            if (res.aborted)
                 return res;
-            }
-            faults_->noteRecovery();
-            stats_.inc("fault_recoveries");
-            faults_->undoLog().rollback(mem);
-            regs = ckpt.regs;
-            pc = ckpt.pc;
-            retired = ckpt.retired;
-            tmc = *ckpt.mem_lanes;
-            inflight = ckpt.inflight;
-            const Cycle resume =
-                act.end_cycle + faults_->detect().recovery_penalty;
-            pc_enter = resume;
-            min_start = resume;
-            if (trc_)
-                trc_->rollback(static_cast<u8>(index_), pc, resume,
-                               faults_->tally().recoveries);
-            faults_->oracleRewind();
-            faults_->clearDivergence();
-            if (faults_->strike(cl.index) && enabledClusters() > 2)
-                disableCluster(cl);
             continue;
         }
         retired += act.retired;
@@ -435,14 +462,7 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
 
         switch (act.exit) {
           case ActExit::Halt:
-            res.finish = act.end_cycle;
-            res.retired = retired;
-            res.halted = !act.faulted;
-            res.faulted = act.faulted;
-            res.stop_pc = act.exit_pc;
-            if (act.faulted)
-                res.stop_reason = trapReason(act);
-            res.final_regs = regs;
+            halt(act);
             return res;
           case ActExit::SimtTrap: {
             const Addr simt_s_pc = act.exit_pc;
@@ -468,99 +488,39 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                 stats_.inc("simt_fallbacks");
             }
             // Fall back to scalar execution: re-enter at the simt_s
-            // with trapping suppressed via a one-shot serial pass.
-            {
-                ActivationInput again = in;
-                again.entry_pc = simt_s_pc;
-                again.pc_enter = std::max(act.exit_resolve, got.ready);
-                again.min_start =
-                    std::max(act.exit_resolve, got.ready);
-                again.trap_on_simt = false;
-                const ActivationOutput act2 = engine_.run(again, regs, tmc);
-                if (obs_)
-                    ++obs_->dense_activations;
-                if (trc_)
-                    trc_->activation(static_cast<u8>(index_),
-                                     static_cast<u16>(cl.index),
-                                     simt_s_pc, again.min_start,
-                                     act2.end_cycle, false,
-                                     act2.retired);
-                cl.free_at = act2.end_cycle;
-                if (faults_ && faults_->divergencePending()) {
-                    // Same recovery as the main path: the whole loop
-                    // iteration (including the simt trap) re-executes
-                    // from the boundary checkpoint.
-                    stats_.inc("fault_lockstep_detections");
-                    faults_->noteLockstepDetection();
-                    if (!faults_->recoveryBudgetLeft()) {
-                        res.aborted = true;
-                        stop(act2.end_cycle, pc,
-                             "lockstep: " +
-                                 faults_->divergenceReason() +
-                                 " (recovery budget exhausted)");
-                        return res;
-                    }
-                    faults_->noteRecovery();
-                    stats_.inc("fault_recoveries");
-                    faults_->undoLog().rollback(mem);
-                    regs = ckpt.regs;
-                    pc = ckpt.pc;
-                    retired = ckpt.retired;
-                    tmc = *ckpt.mem_lanes;
-                    inflight = ckpt.inflight;
-                    const Cycle resume =
-                        act2.end_cycle +
-                        faults_->detect().recovery_penalty;
-                    pc_enter = resume;
-                    min_start = resume;
-                    if (trc_)
-                        trc_->rollback(static_cast<u8>(index_), pc,
-                                       resume,
-                                       faults_->tally().recoveries);
-                    faults_->oracleRewind();
-                    faults_->clearDivergence();
-                    if (faults_->strike(cl.index) &&
-                        enabledClusters() > 2)
-                        disableCluster(cl);
-                    continue;
-                }
-                retired += act2.retired;
-                if (act2.exit == ActExit::Halt) {
-                    res.finish = act2.end_cycle;
-                    res.retired = retired;
-                    res.halted = !act2.faulted;
-                    res.faulted = act2.faulted;
-                    res.stop_pc = act2.exit_pc;
-                    if (act2.faulted)
-                        res.stop_reason = trapReason(act2);
-                    res.final_regs = regs;
+            // with trapping suppressed via a one-shot serial pass. It
+            // holds the cluster until it ends, and its exits take
+            // neither the reuse nor the next-line redirect shortcut.
+            ActivationInput again = in;
+            again.entry_pc = simt_s_pc;
+            again.pc_enter = std::max(act.exit_resolve, got.ready);
+            again.min_start = again.pc_enter;
+            again.trap_on_simt = false;
+            const ActivationOutput act2 = engine_.run(again, regs, tmc);
+            notice(cl, simt_s_pc, again.min_start, act2, false);
+            cl.free_at = act2.end_cycle;
+            // A divergence re-executes the whole loop iteration,
+            // including the simt trap, from the boundary checkpoint.
+            if (diverged(act2.end_cycle, cl)) {
+                if (res.aborted)
                     return res;
-                }
+                continue;
+            }
+            retired += act2.retired;
+            if (act2.exit == ActExit::Halt) {
+                halt(act2);
+                return res;
+            }
+            if (act2.exit == ActExit::FellThrough) {
+                fallThrough(act2);
+            } else {
                 pc = act2.exit_pc;
-                if (act2.exit == ActExit::FellThrough) {
-                    pc_enter = act2.exit_resolve + cfg_.inter_cluster_latch;
-                    min_start = 0;
-                    regs.delay(cfg_.inter_cluster_latch);
-                } else {  // Redirect
-                    const Cycle grant = bus_.request(
-                        act2.exit_resolve, cfg_.bus_regfile_transfer);
-                    const Cycle xfer =
-                        grant + cfg_.bus_regfile_transfer;
-                    regs.clampThenDelay(grant,
-                                        cfg_.bus_regfile_transfer);
-                    pc_enter = xfer;
-                    min_start = act2.exit_resolve + cfg_.squash_resteer;
-                    st_ctrl_stall_cycles_.inc(
-                        static_cast<double>(xfer - act2.exit_resolve));
-                }
+                busHandover(act2.exit_resolve);
             }
             continue;
           }
           case ActExit::FellThrough:
-            pc = act.exit_pc;
-            pc_enter = act.exit_resolve + cfg_.inter_cluster_latch;
-            min_start = 0;
-            regs.delay(cfg_.inter_cluster_latch);
+            fallThrough(act);
             break;
           case ActExit::Redirect: {
             if (trc_)
@@ -601,17 +561,7 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                 st_ctrl_stall_cycles_.inc(
                     static_cast<double>(cfg_.squash_resteer));
             } else {
-                // Mispredicted control transfer to a far or
-                // non-resident target: register file over the bus plus
-                // the squash re-steer.
-                const Cycle grant = bus_.request(
-                    act.exit_resolve, cfg_.bus_regfile_transfer);
-                const Cycle xfer = grant + cfg_.bus_regfile_transfer;
-                regs.clampThenDelay(grant, cfg_.bus_regfile_transfer);
-                pc_enter = xfer;
-                min_start = act.exit_resolve + cfg_.squash_resteer;
-                st_ctrl_stall_cycles_.inc(
-                    static_cast<double>(xfer - act.exit_resolve));
+                busHandover(act.exit_resolve);
             }
             break;
           }
@@ -725,8 +675,8 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
     // Per-region counters (keyed by the simt_s pc) let the bound
     // validator compare each region's measured duration against its
     // static model (tools/diag_bound.cpp --validate).
-    stats_.inc(detail::vformat("simt_region_%08x_entries", simt_s_pc));
-    stats_.inc(detail::vformat("simt_region_%08x_threads", simt_s_pc),
+    stats_.inc(analysis::simtRegionKey(simt_s_pc, "entries"));
+    stats_.inc(analysis::simtRegionKey(simt_s_pc, "threads"),
                static_cast<double>(trips));
     if (trc_)
         trc_->regionEnter(static_cast<u8>(index_), simt_s_pc, resolve,
@@ -738,10 +688,10 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
     const Addr first_line = alignDown(simt_s_pc + 4, line_bytes_);
     const Addr last_line = alignDown(region.simt_e_pc, line_bytes_);
     std::vector<Addr> lines;
-    for (Addr line = first_line; line <= last_line; line += line_bytes_)
+    for (Addr line = first_line; line <= last_line; line += line_bytes_) {
         lines.push_back(line);
-    for (Addr line : lines)
         pinned_lines_.insert(line);
+    }
 
     // Spatial replication (paper §4.4.1): when the pipeline has fewer
     // stages than the ring has clusters, replicate it to maximise PE
@@ -830,9 +780,8 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
             cl.last_use = ++use_counter_;
             retired += act.retired;
             if (act.exit == ActExit::ThreadEnd) {
-                if (act.exit_resolve > last_exit_resolve) {
-                    last_exit_resolve = act.exit_resolve;
-                }
+                last_exit_resolve =
+                    std::max(last_exit_resolve, act.exit_resolve);
                 if (k == trips - 1)
                     last_regs = thr;
                 break;
@@ -864,7 +813,7 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
     // Only the last thread's lanes propagate past simt_e (paper §5.4).
     regs = last_regs;
     pc = region.simt_e_pc + 4;
-    stats_.inc(detail::vformat("simt_region_%08x_cycles", simt_s_pc),
+    stats_.inc(analysis::simtRegionKey(simt_s_pc, "cycles"),
                static_cast<double>(last_exit_resolve +
                                    cfg_.inter_cluster_latch - resolve));
     if (trc_)

@@ -146,6 +146,9 @@ class Ring
     /** Clusters not taken offline by fault recovery. */
     unsigned enabledClusters() const;
 
+    /** Drop @p cl's line from resident_ if it still maps there. */
+    void unmapLine(const Cluster &cl);
+
     /**
      * Graceful degradation: take @p cl offline and let the normal
      * allocation path remap its lines onto the survivors.

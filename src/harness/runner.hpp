@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "diag/config.hpp"
@@ -100,6 +101,29 @@ struct MatrixCell
     core::DiagConfig diag_cfg;  //!< engine config when on_diag
     ooo::OooConfig ooo_cfg;     //!< engine config when !on_diag
 };
+
+/** A matrix cell running @p w on DiAG configured by @p cfg. */
+inline MatrixCell
+diagCell(const workloads::Workload &w, RunSpec spec, core::DiagConfig cfg)
+{
+    MatrixCell c;
+    c.w = &w;
+    c.spec = spec;
+    c.diag_cfg = std::move(cfg);
+    return c;
+}
+
+/** A matrix cell running @p w on the OoO baseline configured by @p cfg. */
+inline MatrixCell
+oooCell(const workloads::Workload &w, RunSpec spec, ooo::OooConfig cfg)
+{
+    MatrixCell c;
+    c.w = &w;
+    c.spec = spec;
+    c.on_diag = false;
+    c.ooo_cfg = std::move(cfg);
+    return c;
+}
 
 /**
  * Execute every cell on up to @p jobs host threads (0 = one per

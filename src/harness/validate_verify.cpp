@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/simt_scan.hpp"
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
 #include "diag/processor.hpp"
@@ -273,10 +274,10 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
     for (const auto &r : vr.regions) {
         if (r.deadlock != Verdict::Proven || !diag_halted)
             continue;
-        const double entries = drs.counters.get(detail::vformat(
-            "simt_region_%08x_entries", r.simt_s_pc));
-        const double threads = drs.counters.get(detail::vformat(
-            "simt_region_%08x_threads", r.simt_s_pc));
+        const double entries = drs.counters.get(
+            analysis::simtRegionKey(r.simt_s_pc, "entries"));
+        const double threads = drs.counters.get(
+            analysis::simtRegionKey(r.simt_s_pc, "threads"));
         if (entries > 0 &&
             threads !=
                 entries * static_cast<double>(r.threads))

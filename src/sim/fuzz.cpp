@@ -67,7 +67,11 @@ class Generator
   private:
     void emit(const std::string &line) { out_ += line + "\n"; }
 
-    std::string reg(int n) { return "x" + std::to_string(n); }
+    std::string
+    reg(int n)
+    {
+        return std::string("x").append(std::to_string(n));
+    }
 
     std::string
     dataReg()
@@ -75,7 +79,11 @@ class Generator
         return reg(kDataRegs[rng_.below(kNumDataRegs)]);
     }
 
-    std::string freg() { return "f" + std::to_string(rng_.below(8)); }
+    std::string
+    freg()
+    {
+        return std::string("f").append(std::to_string(rng_.below(8)));
+    }
 
     std::string
     label(const char *stem)

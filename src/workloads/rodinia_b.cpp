@@ -39,8 +39,10 @@ kmeansBody()
          "    fmadd.s fa0, ft3, ft3, fa0\n"
          "    li t2, 0\n";
     for (u32 k = 1; k < kKmK; ++k) {
-        const std::string cx = "f" + std::to_string(16 + 2 * k);
-        const std::string cy = "f" + std::to_string(17 + 2 * k);
+        const std::string cx =
+            std::string("f").append(std::to_string(16 + 2 * k));
+        const std::string cy =
+            std::string("f").append(std::to_string(17 + 2 * k));
         const std::string skip = "knext" + std::to_string(k);
         s += "    fsub.s ft2, ft0, " + cx + "\n";
         s += "    fsub.s ft3, ft1, " + cy + "\n";

@@ -128,6 +128,70 @@ TEST(Simt, BackwardBranchInRegionFallsBackToScalar)
     EXPECT_EQ(proc.finalReg(0, 8), 16u);  // 8 trips x 2 inner
 }
 
+TEST(Simt, FallbackExitsKeepTheirTiming)
+{
+    // Three single-trip regions the scanner rejects (s0 is read before
+    // it is written), each on its own line, so each runs as one scalar
+    // fallback activation that leaves the line a different way: a far
+    // redirect into a resident line, running off the end of the line,
+    // and a halt. The cycle count pins the handover each exit pays.
+    const char *src = R"(
+        _start:
+            li a1, 1
+            li a2, 1
+            li s0, 5
+            j setup
+            .align 8
+        setup:
+            li a0, 0
+            j r1
+        back:
+            addi s0, s0, 3
+            j r2
+            .align 8
+        r1:
+            simt_s a0, a1, a2, 1
+            add s0, s0, s0
+            simt_e a0, a2, r1
+            j back
+            .align 8
+        r2:
+            simt_s a0, a1, a2, 1
+            add s0, s0, s0
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            simt_e a0, a2, r2
+        r3:
+            simt_s a0, a1, a2, 1
+            add s0, s0, s0
+            simt_e a0, a2, r3
+            ebreak
+    )";
+    const Program p = assembler::assemble(src);
+    sim::GoldenSim gold(p);
+    gold.run();
+    DiagProcessor proc(DiagConfig::f4c16());
+    const sim::RunStats rs = proc.run(p);
+    ASSERT_TRUE(rs.halted);
+    EXPECT_EQ(rs.counters.get("simt_regions"), 0.0);
+    EXPECT_EQ(rs.counters.get("simt_fallbacks"), 3.0);
+    EXPECT_EQ(proc.finalReg(0, 8), gold.reg(8));
+    EXPECT_EQ(gold.reg(8), 52u);
+    EXPECT_EQ(proc.finalReg(0, 10), 3u);
+    EXPECT_EQ(rs.cycles, 749u);
+}
+
 TEST(Simt, IndirectJumpInRegionFallsBack)
 {
     const char *src = R"(

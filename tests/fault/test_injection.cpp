@@ -186,6 +186,133 @@ TEST(FaultInjection, StuckPeDisablesClusterAndCompletes)
     EXPECT_GT(rs.cycles, base.cycles);
 }
 
+/**
+ * A simt region the control unit rejects (s0 is read before it is
+ * written, a loop-carried dependence), so it runs as the scalar
+ * fallback activation. The region starts its own line and is entered
+ * by a jump: the activation that traps at the simt_s executes nothing,
+ * so the first PE result after the jump's boundary comes from the
+ * fallback. On the serial path its simt_e loops back to head + 4.
+ * 40 trips; s0 ends at 0+1+...+39 = 780, s1 at the xor of the partial
+ * sums, 40.
+ */
+const char *kFallbackLoop = R"(
+    _start:
+        li a0, 0
+        li a1, 1
+        li a2, 40
+        li s0, 0
+        j head
+        .align 6
+    head:
+        simt_s a0, a1, a2, 1
+        add s0, s0, a0
+        xor s1, s1, s0
+        simt_e a0, a2, head
+        ebreak
+)";
+
+/** Lockstep on, a single event of @p site on cluster 1 (where the
+ *  region's line is prefetched), PE 1 (the add's slot). */
+FaultController
+fallbackController(const Program &p, FaultSite site, u64 trigger,
+                   DetectConfig det = {})
+{
+    FaultPlan plan;
+    plan.seed = 1;
+    FaultEvent ev;
+    ev.site = site;
+    ev.trigger = trigger;
+    ev.cluster = 1;
+    ev.pe = 1;
+    ev.bit = 9;
+    ev.stuck_value = 0xdeadbeef;
+    plan.events.push_back(ev);
+    det.lockstep = true;
+    FaultController fc(std::move(plan), det);
+    fc.attachOracle(makeOracle(p));
+    return fc;
+}
+
+TEST(FaultInjection, PeFlipInSimtFallbackStrikesTheMarker)
+{
+    // A transient flip armed at the jump's boundary strikes the first
+    // result of the fallback activation: the simt_s marker's, which
+    // writes nothing, so lockstep sees a clean run.
+    const Program p = assembler::assemble(kFallbackLoop);
+    DiagProcessor bare(DiagConfig::f4c16());
+    const sim::RunStats base = bare.run(p);
+    ASSERT_TRUE(base.halted);
+
+    FaultController fc = fallbackController(p, FaultSite::PeResult, 5);
+    DiagProcessor proc(DiagConfig::f4c16());
+    proc.attachFaults(&fc);
+    const sim::RunStats rs = proc.run(p);
+
+    ASSERT_TRUE(rs.halted);
+    EXPECT_EQ(rs.counters.get("simt_fallbacks"), 1.0);
+    EXPECT_EQ(rs.counters.get("simt_regions"), 0.0);
+    ASSERT_TRUE(fc.allFired());
+    EXPECT_EQ(fc.eventLog()[0].note, "PE cl1/0 result bit 9 flipped");
+    EXPECT_EQ(rs.cycles, 410u);
+    EXPECT_EQ(rs.cycles, base.cycles);
+    EXPECT_EQ(fc.tally().lockstep_detections, 0u);
+    EXPECT_EQ(fc.tally().recoveries, 0u);
+    EXPECT_EQ(proc.finalReg(0, 8), 780u);
+    EXPECT_EQ(proc.finalReg(0, 9), 40u);
+    EXPECT_EQ(proc.finalReg(0, 10), 40u);
+}
+
+TEST(FaultInjection, StuckPeInSimtFallbackDisablesCluster)
+{
+    // The dead PE corrupts the add in the fallback activation, which
+    // rolls back twice and then takes cluster 1 offline; the region's
+    // line remaps and the run completes with the right sums.
+    const Program p = assembler::assemble(kFallbackLoop);
+    FaultController fc = fallbackController(p, FaultSite::PeStuck, 0);
+    DiagProcessor proc(DiagConfig::f4c16());
+    proc.attachFaults(&fc);
+    const sim::RunStats rs = proc.run(p);
+
+    ASSERT_TRUE(rs.halted);
+    EXPECT_EQ(rs.counters.get("simt_fallbacks"), 1.0);
+    EXPECT_EQ(rs.cycles, 546u);
+    EXPECT_EQ(fc.tally().lockstep_detections, 2u);
+    EXPECT_EQ(fc.tally().recoveries, 2u);
+    EXPECT_EQ(fc.tally().clusters_disabled, 1u);
+    EXPECT_EQ(rs.counters.get("fault_recoveries"), 2.0);
+    EXPECT_EQ(rs.counters.get("clusters_disabled"), 1.0);
+    EXPECT_EQ(proc.finalReg(0, 8), 780u);
+    EXPECT_EQ(proc.finalReg(0, 9), 40u);
+    EXPECT_EQ(proc.finalReg(0, 10), 40u);
+}
+
+TEST(FaultInjection, StuckPeInSimtFallbackExhaustsRecovery)
+{
+    // With one recovery allowed, the second divergence in the fallback
+    // activation aborts the run before the cluster is taken offline.
+    const Program p = assembler::assemble(kFallbackLoop);
+    DetectConfig det;
+    det.max_recoveries = 1;
+    FaultController fc =
+        fallbackController(p, FaultSite::PeStuck, 0, det);
+    DiagProcessor proc(DiagConfig::f4c16());
+    proc.attachFaults(&fc);
+    const sim::RunStats rs = proc.run(p);
+
+    EXPECT_FALSE(rs.halted);
+    EXPECT_TRUE(rs.aborted);
+    EXPECT_EQ(rs.stop_reason,
+              "thread 0: lockstep: lockstep divergence at pc 0x1044 "
+              "(golden pc 0x1044): rd x8=0xdeadbeef vs golden x8=0x0 "
+              "(recovery budget exhausted)");
+    EXPECT_EQ(rs.cycles, 358u);
+    EXPECT_EQ(rs.instructions, 5u);
+    EXPECT_EQ(fc.tally().lockstep_detections, 2u);
+    EXPECT_EQ(fc.tally().recoveries, 1u);
+    EXPECT_EQ(fc.tally().clusters_disabled, 0u);
+}
+
 TEST(FaultInjection, CampaignJsonIsBitReproducible)
 {
     CampaignSpec spec;

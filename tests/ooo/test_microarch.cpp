@@ -186,11 +186,11 @@ TEST(OooMicroarch, IcacheMissesStallFrontend)
     // pass pays instruction misses, later passes hit.
     std::string src = "_start:\n    li s0, 0\n    li s1, 64\nouter:\n";
     for (int f = 0; f < 4; ++f)
-        src += "    call f" + std::to_string(f) + "\n";
+        src.append("    call f").append(std::to_string(f)).append("\n");
     src += "    addi s0, s0, 1\n    bne s0, s1, outer\n    ebreak\n";
     for (int f = 0; f < 4; ++f) {
         src += ".align 6\n";  // one I-line per function
-        src += "f" + std::to_string(f) + ":\n";
+        src.append("f").append(std::to_string(f)).append(":\n");
         for (int i = 0; i < 14; ++i)
             src += "    addi t0, t0, 1\n";
         src += "    ret\n";
