@@ -99,15 +99,30 @@ class BusyCalendar
      * Index (among the live reservations) of the first interval ending
      * after @p t. The intervals are disjoint and sorted by start, so
      * their ends are sorted as well (zero-length ones included) and a
-     * binary search finds it.
+     * search finds it. Requests land near the newest reservation, in
+     * order or a little out of it, so the search gallops back from the
+     * end (1, 2, 4, ... entries) to bracket the answer and then binary
+     * searches the bracket: O(1) for an in-order request, O(log d) for
+     * one d entries back.
      */
     size_t
     firstEndingAfter(Cycle t) const
     {
+        size_t lo = 0;       // every interval before lo ends by t
+        size_t hi = size();  // interval hi (if live) ends after t
+        for (size_t step = 1; hi > 0; step <<= 1) {
+            const size_t probe = hi > step ? hi - step : 0;
+            if (live(probe).end <= t) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+        }
         const auto first = iv_.begin() + static_cast<long>(head_);
         return static_cast<size_t>(
             std::partition_point(
-                first, iv_.end(),
+                first + static_cast<long>(lo),
+                first + static_cast<long>(hi),
                 [t](const Interval &iv) { return iv.end <= t; }) -
             first);
     }

@@ -3,12 +3,24 @@
  * Sparse byte-addressable memory image over a 32-bit address space,
  * shared by the assembler's program image, the golden simulator, and
  * both microarchitectural models. Little-endian, zero-fill-on-read.
+ *
+ * A small direct-mapped cache of page pointers sits in front of the
+ * page table, so the common access (a page touched recently) costs one
+ * slot load and a page-number compare instead of a hash lookup. Each
+ * slot is an atomic pointer and each page carries its own number, so
+ * concurrent readers of one const image (the fault campaign shares its
+ * reference image across jobs) may refill slots without a data race:
+ * a reader either sees a pointer to a live page whose number it checks,
+ * or null. Pages are never freed while the image exists, except by
+ * clear(), copy and move, which are not const and drop the cache.
  */
 #ifndef DIAG_COMMON_SPARSE_MEM_HPP
 #define DIAG_COMMON_SPARSE_MEM_HPP
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -25,9 +37,28 @@ class SparseMemory
     static constexpr unsigned kPageShift = 12;
     static constexpr unsigned kPageSize = 1u << kPageShift;
 
+    /** Page-pointer cache slots (a power of two). */
+    static constexpr unsigned kCacheSlots = 128;
+
     SparseMemory() = default;
-    SparseMemory(SparseMemory &&) = default;
-    SparseMemory &operator=(SparseMemory &&) = default;
+
+    /** Takes @p other's pages; both caches start empty. */
+    SparseMemory(SparseMemory &&other) noexcept
+        : pages_(std::move(other.pages_))
+    {
+        other.clear();
+    }
+
+    SparseMemory &
+    operator=(SparseMemory &&other) noexcept
+    {
+        if (this == &other)
+            return *this;
+        pages_ = std::move(other.pages_);
+        dropCache();
+        other.clear();
+        return *this;
+    }
 
     /** Deep copy (used to snapshot state between runs). */
     SparseMemory(const SparseMemory &other) { *this = other; }
@@ -37,7 +68,7 @@ class SparseMemory
     {
         if (this == &other)
             return *this;
-        pages_.clear();
+        clear();
         for (const auto &kv : other.pages_)
             pages_[kv.first] = std::make_unique<Page>(*kv.second);
         return *this;
@@ -47,13 +78,13 @@ class SparseMemory
     read8(Addr addr) const
     {
         const Page *p = findPage(addr);
-        return p ? (*p)[addr & (kPageSize - 1)] : 0;
+        return p ? p->bytes[addr & (kPageSize - 1)] : 0;
     }
 
     void
     write8(Addr addr, u8 value)
     {
-        page(addr)[addr & (kPageSize - 1)] = value;
+        page(addr).bytes[addr & (kPageSize - 1)] = value;
     }
 
     u16
@@ -129,7 +160,7 @@ class SparseMemory
         while (len > 0) {
             const size_t off = addr & (kPageSize - 1);
             const size_t n = std::min<size_t>(len, kPageSize - off);
-            std::memcpy(page(addr).data() + off, bytes, n);
+            std::memcpy(page(addr).bytes.data() + off, bytes, n);
             addr += static_cast<Addr>(n);
             bytes += n;
             len -= n;
@@ -144,7 +175,7 @@ class SparseMemory
             const size_t off = addr & (kPageSize - 1);
             const size_t n = std::min<size_t>(len, kPageSize - off);
             if (const Page *p = findPage(addr))
-                std::memcpy(bytes, p->data() + off, n);
+                std::memcpy(bytes, p->bytes.data() + off, n);
             else
                 std::memset(bytes, 0, n);
             addr += static_cast<Addr>(n);
@@ -166,10 +197,19 @@ class SparseMemory
     }
 
     /** Drop all contents. */
-    void clear() { pages_.clear(); }
+    void
+    clear()
+    {
+        dropCache();
+        pages_.clear();
+    }
 
   private:
-    using Page = std::array<u8, kPageSize>;
+    struct Page
+    {
+        std::array<u8, kPageSize> bytes;
+        u32 number;  //!< address >> kPageShift (checked on cache hits)
+    };
 
     /** The @p bytes at @p addr lie inside one page (one lookup). */
     static bool
@@ -182,7 +222,7 @@ class SparseMemory
     static u32
     load(const Page &p, Addr addr, unsigned bytes)
     {
-        const u8 *b = p.data() + (addr & (kPageSize - 1));
+        const u8 *b = p.bytes.data() + (addr & (kPageSize - 1));
         u32 v = 0;
         for (unsigned i = 0; i < bytes; ++i)
             v |= static_cast<u32>(b[i]) << (8 * i);
@@ -193,30 +233,65 @@ class SparseMemory
     static void
     store(Page &p, Addr addr, u32 value, unsigned bytes)
     {
-        u8 *b = p.data() + (addr & (kPageSize - 1));
+        u8 *b = p.bytes.data() + (addr & (kPageSize - 1));
         for (unsigned i = 0; i < bytes; ++i)
             b[i] = static_cast<u8>(value >> (8 * i));
     }
 
-    const Page *
-    findPage(Addr addr) const
+    /** Cache slot of page @p number: Fibonacci hashing, so a run of
+     *  consecutive pages spreads over the slots and the text pages
+     *  rarely share a slot with the data pages. */
+    static std::atomic<Page *> &
+    slotOf(std::array<std::atomic<Page *>, kCacheSlots> &cache, u32 number)
     {
-        auto it = pages_.find(addr >> kPageShift);
-        return it == pages_.end() ? nullptr : it->second.get();
+        constexpr unsigned kBits = std::countr_zero(kCacheSlots);
+        return cache[(number * 0x9e3779b1u) >> (32 - kBits)];
     }
 
+    /** The resident page holding @p addr, or null (absent pages are
+     *  not cached: a later write may create them). */
+    Page *
+    findPage(Addr addr) const
+    {
+        const u32 number = addr >> kPageShift;
+        std::atomic<Page *> &slot = slotOf(cache_, number);
+        Page *p = slot.load(std::memory_order_relaxed);
+        if (p && p->number == number)
+            return p;
+        auto it = pages_.find(number);
+        if (it == pages_.end())
+            return nullptr;
+        p = it->second.get();
+        slot.store(p, std::memory_order_relaxed);
+        return p;
+    }
+
+    /** The page holding @p addr, zero-filled on first touch. */
     Page &
     page(Addr addr)
     {
-        auto &slot = pages_[addr >> kPageShift];
-        if (!slot) {
-            slot = std::make_unique<Page>();
-            slot->fill(0);
-        }
-        return *slot;
+        if (Page *p = findPage(addr))
+            return *p;
+        const u32 number = addr >> kPageShift;
+        auto &owner = pages_[number];
+        owner = std::make_unique<Page>();
+        owner->bytes.fill(0);
+        owner->number = number;
+        slotOf(cache_, number).store(owner.get(), std::memory_order_relaxed);
+        return *owner;
+    }
+
+    void
+    dropCache()
+    {
+        for (std::atomic<Page *> &slot : cache_)
+            slot.store(nullptr, std::memory_order_relaxed);
     }
 
     std::unordered_map<u32, std::unique_ptr<Page>> pages_;
+    /** Page-pointer cache (see the file comment); mutable because
+     *  const reads refill it. */
+    mutable std::array<std::atomic<Page *>, kCacheSlots> cache_{};
 };
 
 } // namespace diag

@@ -15,6 +15,50 @@ namespace diag::core
 
 using namespace diag::isa;
 
+bool
+hasBackwardBranch(const std::vector<DecodedInst> &insts)
+{
+    return std::any_of(insts.begin(), insts.end(),
+                       [](const DecodedInst &di) {
+                           return (di.isBranch() || di.op == Op::JAL) &&
+                                  di.imm < 0;
+                       });
+}
+
+LoweredLine
+lowerLine(std::vector<DecodedInst> insts, unsigned segment_size)
+{
+    LoweredLine line;
+    line.slots.reserve(insts.size());
+    for (size_t i = 0; i < insts.size(); ++i) {
+        const DecodedInst &di = insts[i];
+        SlotInfo si;
+        si.cls = di.cls();
+        si.latency = execLatency(si.cls);
+        si.seg = static_cast<u8>(i / segment_size);
+        si.mem_bytes = di.info().memBytes;
+        const auto set = [&si](bool on, SlotInfo::Flag f) {
+            if (on)
+                si.flags = static_cast<u16>(si.flags | f);
+        };
+        set(di.valid(), SlotInfo::kValid);
+        set(di.isLoad(), SlotInfo::kLoad);
+        set(di.isStore(), SlotInfo::kStore);
+        set(di.isFp(), SlotInfo::kFp);
+        set(di.writesReg(), SlotInfo::kWritesReg);
+        set(di.isBranch() && di.imm < 0, SlotInfo::kBackBranch);
+        set(di.op == Op::SIMT_S, SlotInfo::kSimtS);
+        set(di.op == Op::SIMT_E, SlotInfo::kSimtE);
+        set(si.cls == ExecClass::IntDiv || si.cls == ExecClass::FpDiv ||
+                si.cls == ExecClass::FpSqrt,
+            SlotInfo::kUnpipelined);
+        line.slots.push_back(si);
+    }
+    line.has_backward_branch = hasBackwardBranch(insts);
+    line.insts = std::move(insts);
+    return line;
+}
+
 ActivationEngine::ActivationEngine(const DiagConfig &cfg,
                                    mem::MemHierarchy &mh,
                                    unsigned mem_port, StatGroup &stats)
@@ -115,10 +159,12 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
 {
     Cluster &cl = *in.cluster;
     panic_if(!cl.loaded(), "activation on unloaded cluster %u", cl.index);
+    panic_if(cl.slots.size() != cl.insts.size(),
+             "cluster %u line 0x%x was not lowered", cl.index,
+             cl.line_base);
     const Addr base = cl.line_base;
     const unsigned n = static_cast<unsigned>(cl.insts.size());
-    const unsigned seg_size = cfg_.segment_size;
-    const int last_seg = static_cast<int>((n - 1) / seg_size);
+    const int last_seg = cl.slots.back().seg;
 
     panic_if(in.entry_pc < base || in.entry_pc >= base + line_bytes_ ||
                  (in.entry_pc & 3),
@@ -194,13 +240,14 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             continue;
         }
         const DecodedInst &di = cl.insts[i];
-        const int seg = static_cast<int>(i / seg_size);
+        const SlotInfo &si = cl.slots[i];
+        const int seg = si.seg;
 
-        if (!di.valid()) {
+        if (!si.has(SlotInfo::kValid)) {
             trap(addr, seg);
             break;
         }
-        if (di.op == Op::SIMT_S && in.mode == ActMode::Serial &&
+        if (si.has(SlotInfo::kSimtS) && in.mode == ActMode::Serial &&
             in.trap_on_simt) {
             // Hand control to the ring's thread-pipeline logic without
             // executing the marker.
@@ -209,7 +256,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             finish(ActExit::SimtTrap, addr, here);
             break;
         }
-        panic_if(!cfg_.fp_supported && di.isFp(),
+        panic_if(!cfg_.fp_supported && si.has(SlotInfo::kFp),
                  "FP instruction %s on an integer-only configuration",
                  opName(di.op));
 
@@ -217,7 +264,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         Cycle ops_ready = std::max(avail(di.rs1, seg),
                                    avail(di.rs2, seg));
         u32 c_val = 0;
-        if (di.op == Op::SIMT_E) {
+        if (si.has(SlotInfo::kSimtE)) {
             if (in.mode == ActMode::Serial) {
                 // Scalar semantics: the step register named by the
                 // matching simt_s is an extra operand.
@@ -254,22 +301,21 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         u32 store_val = 0;
         Cycle store_addr_ready = 0;
 
-        if (di.isLoad()) {
+        if (si.has(SlotInfo::kLoad)) {
             const Addr ea = effectiveAddr(di, lane_value(di.rs1));
             if (atrc_)
                 atrc_->access(addr, ea);
             const Cycle addr_ready = start + 1;  // address generation
             const Cycle issue =
                 std::max(addr_ready, tmc.storeAddrGate());
-            done = serveLoad(cl, tmc, ea, di.info().memBytes, issue, i);
-            value = loadExtend(di, tmc.mem().read(ea,
-                                                  di.info().memBytes));
+            done = serveLoad(cl, tmc, ea, si.mem_bytes, issue, i);
+            value = loadExtend(di, tmc.mem().read(ea, si.mem_bytes));
             if (fc_)
                 fc_->onPeResult(cl.index, i, value);
-        } else if (di.isStore()) {
+        } else if (si.has(SlotInfo::kStore)) {
             is_store = true;
             store_ea = effectiveAddr(di, lane_value(di.rs1));
-            store_size = di.info().memBytes;
+            store_size = si.mem_bytes;
             store_val = lane_value(di.rs2);
             if (fc_)
                 fc_->onPeResult(cl.index, i, store_val);
@@ -282,7 +328,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         } else {
             const ExecOut eo = execute(di, addr, lane_value(di.rs1),
                                        lane_value(di.rs2), c_val);
-            done = start + execLatency(di);
+            done = start + si.latency;
             value = eo.value;
             if (fc_)
                 fc_->onPeResult(cl.index, i, value);
@@ -291,17 +337,19 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 redirect = true;
                 target = eo.target;
             }
-            if (di.isFp())
-                fpu_cycles += execLatency(di);
+            if (si.has(SlotInfo::kFp))
+                fpu_cycles += si.latency;
         }
         ++n_exec;
         busy_cycles += done - start;
         // Clock-gated activity: execute-stage occupancy only (memory
         // wait time is spent in the LSU, not the PE's compute logic).
-        exec_cycles += di.isMem() ? 1 : execLatency(di);
+        exec_cycles += si.has(SlotInfo::kLoad) || si.has(SlotInfo::kStore)
+                           ? 1
+                           : si.latency;
 
         // ---- destination lane write ----
-        if (di.writesReg()) {
+        if (si.has(SlotInfo::kWritesReg)) {
             LaneState &lane = regs[di.rd];
             lane.value = value;
             lane.ready = done - static_cast<Cycle>(seg) - bias;
@@ -339,7 +387,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         if (fc_) {
             fault::RetireRecord rr;
             rr.pc = addr;
-            rr.wrote_reg = di.writesReg();
+            rr.wrote_reg = si.has(SlotInfo::kWritesReg);
             rr.rd = di.rd;
             rr.rd_value = value;
             rr.is_store = is_store;
@@ -354,12 +402,8 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             // §4.4.1), letting a PE accept the next thread as soon as
             // its (pipelined) unit can take a new operation; divide
             // and square-root units are not pipelined.
-            const ExecClass cls = di.cls();
-            const bool unpipelined = cls == ExecClass::IntDiv ||
-                                     cls == ExecClass::FpDiv ||
-                                     cls == ExecClass::FpSqrt;
             cl.pe_busy[i] =
-                unpipelined ? done : start + 1;
+                si.has(SlotInfo::kUnpipelined) ? done : start + 1;
         } else {
             // Serial mode has no pipeline registers per PE: the PE's
             // operand/result latches hold one instance until done.
@@ -370,12 +414,11 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             finish(ActExit::Halt, addr, pc_leave);
             break;
         }
-        if (di.op == Op::SIMT_E && in.mode == ActMode::SimtStage) {
+        if (si.has(SlotInfo::kSimtE) && in.mode == ActMode::SimtStage) {
             finish(ActExit::ThreadEnd, addr + 4, pc_leave);
             break;
         }
-        if (di.isBranch() && !redirect &&
-            di.imm < 0) {
+        if (si.has(SlotInfo::kBackBranch) && !redirect) {
             // Loop exit: a backward branch is predicted taken under
             // datapath reuse, so falling through is a misprediction —
             // downstream PEs were held off and must be re-steered.

@@ -18,6 +18,55 @@ namespace diag::core
 /** Sentinel for "no line loaded". */
 inline constexpr Addr kNoLine = ~Addr{0};
 
+/**
+ * What the activation engine asks of one PE slot, lowered once per
+ * decoded line (lowerLine) instead of once per firing: the slot's
+ * segment, its functional-unit class and latency, its memory width and
+ * the DecodedInst predicates the engine branches on.
+ */
+struct SlotInfo
+{
+    enum Flag : u16
+    {
+        kValid = 1u << 0,        //!< decodes (else: precise trap)
+        kLoad = 1u << 1,
+        kStore = 1u << 2,
+        kFp = 1u << 3,           //!< uses the FPU
+        kWritesReg = 1u << 4,
+        kBackBranch = 1u << 5,   //!< conditional branch, imm < 0
+        kSimtS = 1u << 6,
+        kSimtE = 1u << 7,
+        kUnpipelined = 1u << 8,  //!< divide / square-root unit
+    };
+
+    Cycle latency = 0;    //!< execLatency(cls)
+    u16 flags = 0;
+    u8 seg = 0;           //!< slot / segment_size
+    u8 mem_bytes = 0;     //!< access size of a load/store, else 0
+    isa::ExecClass cls = isa::ExecClass::Invalid;
+
+    bool has(Flag f) const { return (flags & f) != 0; }
+};
+
+/** A decoded I-line with its lowered slot records (Ring::loadLine
+ *  memoizes one per line address). */
+struct LoweredLine
+{
+    std::vector<isa::DecodedInst> insts;  //!< one per PE slot
+    std::vector<SlotInfo> slots;          //!< lowered from insts
+    /** A backward branch or JAL: a loop may re-enter the line. */
+    bool has_backward_branch = false;
+};
+
+/** A backward branch or JAL in @p insts: a loop may re-enter the
+ *  line. */
+bool hasBackwardBranch(const std::vector<isa::DecodedInst> &insts);
+
+/** Lower @p insts for lane buffers every @p segment_size PEs. The one
+ *  entry point that fills a LoweredLine. */
+LoweredLine lowerLine(std::vector<isa::DecodedInst> insts,
+                      unsigned segment_size);
+
 /** One processing cluster's persistent hardware state. */
 struct Cluster
 {
@@ -34,10 +83,22 @@ struct Cluster
     std::vector<isa::DecodedInst> insts;  //!< decoded line contents
 
     // ---- skip-idle kernel metadata (DESIGN.md §15) ----
+    /** Per-slot records lowered from insts (SlotInfo). */
+    std::vector<SlotInfo> slots;
     /** Line contains a backward branch / backward JAL. Derived from
      *  insts at load time so the control unit's prefetch decision does
      *  not rescan the (unchanged) line on every activation. */
     bool has_backward_branch = false;
+
+    /** Install the decoded contents of the line at @p base. */
+    void
+    assign(Addr base, const LoweredLine &line)
+    {
+        line_base = base;
+        insts = line.insts;
+        slots = line.slots;
+        has_backward_branch = line.has_backward_branch;
+    }
 
     // ---- cluster-level LSU (paper §5.2) ----
     /** Small set-associative line buffer ("set-associative register
@@ -131,6 +192,7 @@ struct Cluster
     {
         line_base = kNoLine;
         insts.clear();
+        slots.clear();
         has_backward_branch = false;
     }
 

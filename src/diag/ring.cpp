@@ -33,17 +33,6 @@ trapReason(const ActivationOutput &act)
                            act.exit_pc);
 }
 
-/** A backward branch or JAL: a loop may re-enter the line. */
-bool
-hasBackwardBranch(const std::vector<DecodedInst> &insts)
-{
-    return std::any_of(insts.begin(), insts.end(),
-                       [](const DecodedInst &di) {
-                           return (di.isBranch() || di.op == Op::JAL) &&
-                                  di.imm < 0;
-                       });
-}
-
 } // namespace
 
 Ring::Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
@@ -53,6 +42,7 @@ Ring::Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
       line_bytes_(cfg.pes_per_cluster * 4)
 {
     clusters_.resize(cfg.clustersPerRing());
+    mapped_.assign(clusters_.size(), kNoLine);
     for (unsigned c = 0; c < clusters_.size(); ++c)
         clusters_[c].index = c;
     fatal_if(clusters_.size() < 2,
@@ -65,7 +55,7 @@ Ring::reset()
 {
     for (Cluster &cl : clusters_)
         cl.reset();
-    resident_.clear();
+    std::fill(mapped_.begin(), mapped_.end(), kNoLine);
     decoded_.clear();
     pinned_lines_.clear();
     not_pipelinable_.clear();
@@ -102,12 +92,21 @@ Ring::enabledClusters() const
     return n;
 }
 
+Cluster *
+Ring::residentCluster(Addr line)
+{
+    // A line maps to at most one cluster: ensureLoaded maps a line only
+    // after finding it unmapped or unmapping it from that very cluster.
+    const auto it = std::find(mapped_.begin(), mapped_.end(), line);
+    return it == mapped_.end() ? nullptr
+                               : &clusters_[static_cast<size_t>(
+                                     it - mapped_.begin())];
+}
+
 void
 Ring::unmapLine(const Cluster &cl)
 {
-    auto it = resident_.find(cl.line_base);
-    if (it != resident_.end() && it->second == cl.index)
-        resident_.erase(it);
+    mapped_[cl.index] = kNoLine;
 }
 
 void
@@ -172,7 +171,6 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
 
     if (cl.last_use == 0)
         st_clusters_used_.inc();  // first use: un-gates its lanes
-    cl.line_base = line;
     cl.ready_at = ready;
     cl.last_use = ++use_counter_;
     // Decoded-line cache (DESIGN.md §15): reuse an earlier decode of
@@ -183,15 +181,14 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
     DecodedLine &dl = decoded_[line];
     if (dl.raw != line_raw_) {
         dl.raw = line_raw_;
-        dl.insts.clear();
+        std::vector<DecodedInst> insts;
         for (unsigned i = 0; i < cfg_.pes_per_cluster; ++i)
-            dl.insts.push_back(decode(mem.read32(line + 4 * i)));
-        // Skip-idle metadata, derived once per decode instead of once
-        // per activation.
-        dl.has_backward_branch = hasBackwardBranch(dl.insts);
+            insts.push_back(decode(mem.read32(line + 4 * i)));
+        // Skip-idle metadata and the per-slot records, derived once per
+        // decode instead of once per activation.
+        dl.lowered = lowerLine(std::move(insts), cfg_.segment_size);
     }
-    cl.insts = dl.insts;
-    cl.has_backward_branch = dl.has_backward_branch;
+    cl.assign(line, dl.lowered);
     st_iline_fetches_.inc();
     st_decodes_.inc(cfg_.pes_per_cluster);
     return ready;
@@ -200,10 +197,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
 Ring::Resident
 Ring::ensureLoaded(Addr line, Cycle when, SparseMemory &mem)
 {
-    auto it = resident_.find(line);
-    Cluster *cl = nullptr;
-    if (it != resident_.end()) {
-        cl = &clusters_[it->second];
+    Cluster *cl = residentCluster(line);
+    if (cl) {
         cl->last_use = ++use_counter_;
         if (cfg_.reuse_enabled)
             return {cl, cl->ready_at, true};
@@ -213,14 +208,14 @@ Ring::ensureLoaded(Addr line, Cycle when, SparseMemory &mem)
         cl = &chooseVictim();
     }
     const Cycle ready = loadLine(*cl, line, when, mem);
-    resident_[line] = cl->index;
+    mapped_[cl->index] = line;
     return {cl, ready, false};
 }
 
 void
 Ring::prefetch(Addr line, Cycle when, SparseMemory &mem)
 {
-    if (resident_.count(line))
+    if (residentCluster(line))
         return;
     ensureLoaded(line, when, mem);
     st_prefetches_.inc();
@@ -529,10 +524,9 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                                  act.exit_resolve, act.exit_pc);
             pc = act.exit_pc;
             const Addr target_line = alignDown(pc, line_bytes_);
-            const auto res_it = resident_.find(target_line);
+            const Cluster *target = residentCluster(target_line);
             const bool reuse = cfg_.reuse_enabled &&
-                               act.redirect_backward &&
-                               res_it != resident_.end();
+                               act.redirect_backward && target;
             if (reuse) {
                 // Predicted-taken backward branch into a resident
                 // datapath: no fetch, no decode, no re-steer bubble —
@@ -546,11 +540,9 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
                 pc_enter = act.exit_resolve + latch;
                 st_reuse_redirects_.inc();
                 if (trc_)
-                    trc_->reuseHit(
-                        static_cast<u8>(index_),
-                        static_cast<u16>(
-                            clusters_[res_it->second].index),
-                        pc, pc_enter);
+                    trc_->reuseHit(static_cast<u8>(index_),
+                                   static_cast<u16>(target->index), pc,
+                                   pc_enter);
             } else if (pc == line + line_bytes_) {
                 // Taken forward branch to the immediately next line:
                 // lanes hand over through the inter-cluster latch; the

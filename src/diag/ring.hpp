@@ -146,7 +146,10 @@ class Ring
     /** Clusters not taken offline by fault recovery. */
     unsigned enabledClusters() const;
 
-    /** Drop @p cl's line from resident_ if it still maps there. */
+    /** The cluster the resident map holds @p line in, or null. */
+    Cluster *residentCluster(Addr line);
+
+    /** Drop @p cl's line from the resident map. */
     void unmapLine(const Cluster &cl);
 
     /**
@@ -166,9 +169,8 @@ class Ring
      */
     struct DecodedLine
     {
-        std::vector<u8> raw;                  //!< line_bytes_ bytes
-        std::vector<isa::DecodedInst> insts;  //!< decode of raw
-        bool has_backward_branch = false;
+        std::vector<u8> raw;  //!< line_bytes_ bytes
+        LoweredLine lowered;  //!< decode of raw, lowered (lowerLine)
     };
 
     const DiagConfig &cfg_;
@@ -178,7 +180,14 @@ class Ring
     StatGroup &stats_;
     ActivationEngine engine_;
     std::vector<Cluster> clusters_;
-    std::unordered_map<Addr, unsigned> resident_;  // line -> cluster
+    /**
+     * Resident map, one entry per cluster: the line the control unit
+     * can reuse in that cluster, or kNoLine. An entry is either kNoLine
+     * or its cluster's line_base (replica stage clusters hold a line
+     * without being mapped). A flat array the size of the ring (at most
+     * 32 clusters in every shipped configuration), searched linearly.
+     */
+    std::vector<Addr> mapped_;
     std::unordered_map<Addr, DecodedLine> decoded_; //!< line -> memo
     std::vector<u8> line_raw_;  //!< loadLine's read buffer
     std::set<Addr> pinned_lines_;      //!< simt region lines (no evict)

@@ -70,15 +70,13 @@ FaultController::applyBoundaryEvent(size_t idx, core::LaneFile &regs,
         pe_armed_ = true;
         return; // fires later, through onPeResult()
       case FaultSite::MemLaneEntry: {
-        auto &entries = mem_lanes.entries();
-        if (entries.empty())
+        const size_t n = mem_lanes.entries().size();
+        if (n == 0)
             return; // CAM empty this boundary; retry at the next one
-        auto &entry = entries[ev.pick % entries.size()];
-        entry.addr ^= 1u << ev.bit;
+        const Addr now = mem_lanes.flipEntryAddr(ev.pick % n, ev.bit);
         log.note = detail::vformat(
             "mem-lane entry %llu addr bit %u flipped (now 0x%x)",
-            static_cast<unsigned long long>(ev.pick % entries.size()),
-            ev.bit, entry.addr);
+            static_cast<unsigned long long>(ev.pick % n), ev.bit, now);
         break;
       }
       case FaultSite::MemData: {

@@ -9,6 +9,7 @@
 #ifndef DIAG_SIM_MEM_ORDER_HPP
 #define DIAG_SIM_MEM_ORDER_HPP
 
+#include <array>
 #include <vector>
 
 #include "common/sparse_mem.hpp"
@@ -38,6 +39,9 @@ class StoreWindow
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** The next push displaces the oldest entry (or, with capacity 0,
+     *  the pushed store itself). */
+    bool full() const { return size_ == buf_.size(); }
 
     /** The @p i-th oldest entry. */
     PendingStore &operator[](size_t i) { return buf_[slot(i)]; }
@@ -80,6 +84,69 @@ class StoreWindow
 };
 
 /**
+ * Occupancy summary of a store window: how many entries touch each
+ * 4-byte granule, counted in a small hashed table. A load whose
+ * granules all count zero overlaps no entry, so the forwarding probe
+ * can answer without scanning the window. Aliasing granules only cost
+ * a scan, never a wrong answer: every overlapping store/load pair
+ * shares a granule (a zero-size access counts its first granule, the
+ * byte the window's overlap test can place inside the other range).
+ */
+class GranuleSummary
+{
+  public:
+    void add(Addr addr, u8 size) { update(addr, size, 1); }
+    void remove(Addr addr, u8 size) { update(addr, size, -1); }
+
+    /** Some entry may overlap [addr, addr + size). */
+    bool
+    mayOverlap(Addr addr, u8 size) const
+    {
+        const Addr last = lastGranule(addr, size);
+        for (Addr g = addr >> kGranuleShift;; ++g) {
+            if (count_[slot(g)] != 0)
+                return true;
+            if (g == last)
+                return false;
+        }
+    }
+
+    void clear() { count_.fill(0); }
+
+  private:
+    static constexpr unsigned kGranuleShift = 2;
+    static constexpr unsigned kSlotBits = 8;
+
+    static Addr
+    lastGranule(Addr addr, u8 size)
+    {
+        return (addr + (size ? size - 1u : 0u)) >> kGranuleShift;
+    }
+
+    /** Fibonacci hash: consecutive granules of one array spread out,
+     *  and arrays a power of two apart do not collide granule by
+     *  granule. */
+    static size_t
+    slot(Addr granule)
+    {
+        return (granule * 0x9e3779b1u) >> (32 - kSlotBits);
+    }
+
+    void
+    update(Addr addr, u8 size, int delta)
+    {
+        const Addr last = lastGranule(addr, size);
+        for (Addr g = addr >> kGranuleShift;; ++g) {
+            count_[slot(g)] = static_cast<u16>(count_[slot(g)] + delta);
+            if (g == last)
+                break;
+        }
+    }
+
+    std::array<u16, size_t{1} << kSlotBits> count_{};
+};
+
+/**
  * Per-thread memory-order state. Also carries the thread's functional
  * memory image reference so execution engines have one handle for both
  * data values and ordering.
@@ -104,17 +171,28 @@ class StoreTracker
     {
         if (addr_ready > store_addr_gate_)
             store_addr_gate_ = addr_ready;
-        return stores_.push({addr, size, data_ready});
+        const bool full = stores_.full();
+        if (full) {
+            if (stores_.empty())
+                return true;  // capacity 0: the store is not held
+            occupancy_.remove(stores_[0].addr, stores_[0].size);
+        }
+        stores_.push({addr, size, data_ready});
+        occupancy_.add(addr, size);
+        return full;
     }
 
     /**
      * Forwarding probe: data-ready cycle of the youngest older store
      * fully covering [addr, addr+size), or kNeverCycle when the load
      * cannot forward (no overlap in the window, or partial overlap).
+     * A load the occupancy summary clears skips the scan.
      */
     Cycle
     forwardProbe(Addr addr, u8 size) const
     {
+        if (!occupancy_.mayOverlap(addr, size))
+            return kNeverCycle;
         for (size_t k = stores_.size(); k-- > 0;) {
             const PendingStore &st = stores_[k];
             const bool overlap = addr < st.addr + st.size &&
@@ -132,15 +210,30 @@ class StoreTracker
     reset()
     {
         stores_.clear();
+        occupancy_.clear();
         store_addr_gate_ = 0;
     }
 
-    /** Direct access to the CAM window (fault injection / tests). */
-    StoreWindow &entries() { return stores_; }
+    /** The CAM window, oldest first (tracing / tests). */
+    const StoreWindow &entries() const { return stores_; }
+
+    /** Flip bit @p bit of the @p i-th oldest entry's address (fault
+     *  injection), keeping the occupancy summary exact. Returns the
+     *  corrupted address. */
+    Addr
+    flipEntryAddr(size_t i, unsigned bit)
+    {
+        PendingStore &st = stores_[i];
+        occupancy_.remove(st.addr, st.size);
+        st.addr ^= 1u << bit;
+        occupancy_.add(st.addr, st.size);
+        return st.addr;
+    }
 
   private:
     SparseMemory *mem_;
     StoreWindow stores_;
+    GranuleSummary occupancy_;  //!< granule counts of stores_
     Cycle store_addr_gate_ = 0;
 };
 

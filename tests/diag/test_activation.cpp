@@ -34,10 +34,11 @@ struct Rig
         const Program p = assembler::assemble(".org 0x1000\n" + src);
         p.loadInto(mem);
         cl.index = 0;
-        cl.line_base = 0x1000;
-        cl.insts.clear();
+        std::vector<DecodedInst> insts;
         for (unsigned i = 0; i < cfg.pes_per_cluster; ++i)
-            cl.insts.push_back(decode(mem.read32(0x1000 + 4 * i)));
+            insts.push_back(decode(mem.read32(0x1000 + 4 * i)));
+        // The lowering Ring::loadLine applies to every line it loads.
+        cl.assign(0x1000, lowerLine(std::move(insts), cfg.segment_size));
     }
 
     ActivationOutput

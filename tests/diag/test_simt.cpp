@@ -192,6 +192,69 @@ TEST(Simt, FallbackExitsKeepTheirTiming)
     EXPECT_EQ(rs.cycles, 749u);
 }
 
+TEST(Simt, FallbackFallThroughHandsOverAndHoldsItsCluster)
+{
+    // A 2-cluster ring runs four back-to-back lines: setup, a rejected
+    // single-trip region (s0 is read before it is written) that runs
+    // off the end of its line, a line that prefetches the next, and a
+    // halt. The region's divides finish in segment 0, so its scalar
+    // fallback retires (end_cycle) one lane hop after its PEs are done
+    // (compute_done). The following line enters through the
+    // inter-cluster latch, and its prefetch of the halt line evicts the
+    // region's cluster, which must wait for the fallback to retire.
+    // The cycle count pins both handovers: 27 cycles more if the
+    // fell-through pc_enter were 50 late, one fewer if the fallback
+    // freed its cluster at compute_done.
+    const char *src = R"(
+        _start:
+            li a1, 1
+            li a2, 1
+            li s0, 5
+            li s1, 3
+            li a0, 0
+            j r
+            .align 6
+        r:
+            simt_s a0, a1, a2, 1
+            div s0, s0, a1
+            div s0, s0, a1
+            div s0, s0, a1
+            div s0, s0, a1
+            div s0, s0, a1
+            div s0, s0, a1
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            nop
+            simt_e a0, a2, r
+        n:
+            addi s2, s0, 1
+            j m
+            .align 6
+        m:
+            ebreak
+    )";
+    const Program p = assembler::assemble(src);
+    sim::GoldenSim gold(p);
+    gold.run();
+    DiagConfig cfg = DiagConfig::f4c32();
+    cfg.num_rings = 16;  // 2 clusters per ring
+    DiagProcessor proc(cfg);
+    proc.loadProgram(p);
+    proc.warmCaches();
+    const sim::RunStats rs = proc.run(p);
+    ASSERT_TRUE(rs.halted);
+    EXPECT_EQ(rs.counters.get("simt_regions"), 0.0);
+    EXPECT_EQ(rs.counters.get("simt_fallbacks"), 1.0);
+    EXPECT_EQ(proc.finalReg(0, 18), gold.reg(18));
+    EXPECT_EQ(gold.reg(18), 6u);
+    EXPECT_EQ(rs.cycles, 149u);
+}
+
 TEST(Simt, IndirectJumpInRegionFallsBack)
 {
     const char *src = R"(
