@@ -28,8 +28,21 @@ Cache::Cache(std::string name, const CacheParams &params, StatGroup &stats,
              name_.c_str(), num_sets_);
     fatal_if(!isPow2(params_.banks), "%s: bank count not power of 2",
              name_.c_str());
-    ways_.resize(static_cast<size_t>(num_sets_) * params_.assoc);
+    num_ways_ = static_cast<size_t>(num_sets_) * params_.assoc;
+    ways_ = std::make_unique_for_overwrite<Way[]>(num_ways_);
+    set_epoch_.assign(num_sets_, 0);
     bank_busy_.assign(params_.banks, BusyCalendar{});
+}
+
+Cache::Way *
+Cache::setBase(u32 set)
+{
+    Way *base = &ways_[static_cast<size_t>(set) * params_.assoc];
+    if (set_epoch_[set] != epoch_) {
+        std::fill(base, base + params_.assoc, Way{});
+        set_epoch_[set] = epoch_;
+    }
+    return base;
 }
 
 u32
@@ -72,7 +85,7 @@ Cache::access(Addr addr, bool is_write, Cycle now)
 
     const u32 set = setIndex(addr);
     const u32 tag = tagOf(addr);
-    Way *base = &ways_[static_cast<size_t>(set) * params_.assoc];
+    Way *base = setBase(set);
     for (u32 w = 0; w < params_.assoc; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == tag) {
@@ -94,7 +107,7 @@ Cache::fillQuiet(Addr addr)
 {
     const u32 set = setIndex(addr);
     const u32 tag = tagOf(addr);
-    Way *base = &ways_[static_cast<size_t>(set) * params_.assoc];
+    Way *base = setBase(set);
     Way *victim = base;
     for (u32 w = 0; w < params_.assoc; ++w) {
         Way &way = base[w];
@@ -118,7 +131,7 @@ Cache::fill(Addr addr, bool is_write, Cycle)
 {
     const u32 set = setIndex(addr);
     const u32 tag = tagOf(addr);
-    Way *base = &ways_[static_cast<size_t>(set) * params_.assoc];
+    Way *base = setBase(set);
     Way *victim = base;
     for (u32 w = 0; w < params_.assoc; ++w) {
         Way &way = base[w];
@@ -143,8 +156,9 @@ Cache::fill(Addr addr, bool is_write, Cycle)
 std::string
 Cache::corruptWay(u64 pick, unsigned bit)
 {
-    const size_t idx = static_cast<size_t>(pick % ways_.size());
-    Way &way = ways_[idx];
+    const size_t idx = static_cast<size_t>(pick % num_ways_);
+    Way &way = setBase(static_cast<u32>(idx / params_.assoc))
+        [idx % params_.assoc];
     way.tag ^= 1u << (bit % 32);
     return detail::vformat("%s way %zu tag bit %u flipped%s",
                            name_.c_str(), idx, bit % 32,
@@ -154,8 +168,10 @@ Cache::corruptWay(u64 pick, unsigned bit)
 void
 Cache::reset()
 {
-    for (Way &way : ways_)
-        way = Way{};
+    if (++epoch_ == 0) {  // wrapped: no stamp may match a past epoch
+        std::fill(set_epoch_.begin(), set_epoch_.end(), 0);
+        epoch_ = 1;
+    }
     for (BusyCalendar &bank : bank_busy_)
         bank.clear();
     use_counter_ = 0;

@@ -8,6 +8,7 @@
 #ifndef DIAG_MEM_CACHE_HPP
 #define DIAG_MEM_CACHE_HPP
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,15 +77,25 @@ class Cache
     void setTracer(trace::Tracer *t) { tracer_ = t; }
 
   private:
+    /** No member initializers: the way array is left uninitialized
+     *  and each set is zeroed on its first touch (setBase). */
     struct Way
     {
-        u32 tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        u64 last_use = 0;
+        u32 tag;
+        bool valid;
+        bool dirty;
+        u64 last_use;
     };
 
     void fillQuiet(Addr addr);
+
+    /**
+     * First way of @p set. A set untouched since construction or the
+     * last reset() is zeroed (all ways invalid) here first, so neither
+     * construction nor reset walks the whole tag array: the 4 MB L2
+     * holds 1 MiB of ways, and a run touches a fraction of them.
+     */
+    Way *setBase(u32 set);
 
     u32 setIndex(Addr addr) const;
     u32 tagOf(Addr addr) const;
@@ -93,7 +104,10 @@ class Cache
     std::string name_;
     CacheParams params_;
     u32 num_sets_;
-    std::vector<Way> ways_;            // num_sets * assoc
+    size_t num_ways_;                  // num_sets * assoc
+    std::unique_ptr<Way[]> ways_;      // valid per set, see setBase
+    std::vector<u32> set_epoch_;       // epoch_ at each set's zeroing
+    u32 epoch_ = 1;                    // bumped by reset()
     std::vector<BusyCalendar> bank_busy_;  // per bank
     u64 use_counter_ = 0;
     // Lazy-bound counter handles for the per-access hot path.

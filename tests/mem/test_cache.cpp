@@ -141,3 +141,33 @@ TEST(Cache, StatsCount)
     EXPECT_EQ(stats.get("c.misses"), 1.0);
     EXPECT_FALSE(stats.has("c.hits"));
 }
+
+TEST(Cache, SetsStartInvalidAfterConstructionAndReset)
+{
+    // Ways are zeroed per set on first touch; every path that reads a
+    // way (access, fill, warmFill, corruptWay) must see a fresh set as
+    // all-invalid, before and after reset().
+    StatGroup stats;
+    Cache c("c", smallCache(), stats, "c");
+    // Way 5 is set 1, way 1: untouched, so invalid with tag 0.
+    EXPECT_EQ(c.corruptWay(5, 0),
+              "c way 5 tag bit 0 flipped (way was invalid)");
+    // The flipped tag (1) of an invalid way never hits.
+    EXPECT_FALSE(c.access(0x440, false, 0).hit);  // set 1, tag 1
+    c.warmFill(0x40);                             // set 1, tag 0
+    EXPECT_TRUE(c.access(0x40, false, 1).hit);
+    // warmFill took the first invalid way of set 1 (way 4).
+    EXPECT_EQ(c.corruptWay(4, 3), "c way 4 tag bit 3 flipped");
+    EXPECT_FALSE(c.access(0x40, false, 2).hit);   // its tag is now 8
+    c.fill(0x80, true, 3);                        // set 2, dirty
+    c.reset();
+    for (Addr a : {Addr{0x40}, Addr{0x80}, Addr{0x440}})
+        EXPECT_FALSE(c.access(a, false, 10).hit) << a;
+    EXPECT_EQ(c.corruptWay(4, 0),
+              "c way 4 tag bit 0 flipped (way was invalid)");
+    // The dirty line filled before reset() is gone: five fills of set 2
+    // evict the oldest clean one, never write it back.
+    for (Addr a = 0x80; a <= 0x480; a += 0x100)
+        EXPECT_FALSE(c.fill(a, false, 20)) << a;
+    EXPECT_EQ(stats.get("c.writebacks"), 0.0);
+}
