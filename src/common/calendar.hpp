@@ -108,8 +108,10 @@ class BusyCalendar
     size_t
     firstEndingAfter(Cycle t) const
     {
-        size_t lo = 0;       // every interval before lo ends by t
-        size_t hi = size();  // interval hi (if live) ends after t
+        if (iv_.empty() || iv_.back().end <= t)
+            return size();  // in order: after every reservation
+        size_t lo = 0;           // every interval before lo ends by t
+        size_t hi = size() - 1;  // interval hi ends after t
         for (size_t step = 1; hi > 0; step <<= 1) {
             const size_t probe = hi > step ? hi - step : 0;
             if (live(probe).end <= t) {

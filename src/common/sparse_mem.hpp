@@ -196,6 +196,19 @@ class SparseMemory
             fn(static_cast<Addr>(kv.first) << kPageShift);
     }
 
+    /**
+     * Page-cache slot of the page holding @p addr. Fibonacci hashing,
+     * so a run of consecutive pages spreads over the slots and the
+     * text pages rarely share one with the data pages. Public so
+     * tests can build pages that alias.
+     */
+    static size_t
+    cacheSlot(Addr addr)
+    {
+        constexpr unsigned kBits = std::countr_zero(kCacheSlots);
+        return ((addr >> kPageShift) * 0x9e3779b1u) >> (32 - kBits);
+    }
+
     /** Drop all contents. */
     void
     clear()
@@ -238,23 +251,13 @@ class SparseMemory
             b[i] = static_cast<u8>(value >> (8 * i));
     }
 
-    /** Cache slot of page @p number: Fibonacci hashing, so a run of
-     *  consecutive pages spreads over the slots and the text pages
-     *  rarely share a slot with the data pages. */
-    static std::atomic<Page *> &
-    slotOf(std::array<std::atomic<Page *>, kCacheSlots> &cache, u32 number)
-    {
-        constexpr unsigned kBits = std::countr_zero(kCacheSlots);
-        return cache[(number * 0x9e3779b1u) >> (32 - kBits)];
-    }
-
     /** The resident page holding @p addr, or null (absent pages are
      *  not cached: a later write may create them). */
     Page *
     findPage(Addr addr) const
     {
         const u32 number = addr >> kPageShift;
-        std::atomic<Page *> &slot = slotOf(cache_, number);
+        std::atomic<Page *> &slot = cache_[cacheSlot(addr)];
         Page *p = slot.load(std::memory_order_relaxed);
         if (p && p->number == number)
             return p;
@@ -277,7 +280,8 @@ class SparseMemory
         owner = std::make_unique<Page>();
         owner->bytes.fill(0);
         owner->number = number;
-        slotOf(cache_, number).store(owner.get(), std::memory_order_relaxed);
+        cache_[cacheSlot(addr)].store(owner.get(),
+                                      std::memory_order_relaxed);
         return *owner;
     }
 

@@ -11,6 +11,7 @@
 #ifndef DIAG_OOO_CORE_HPP
 #define DIAG_OOO_CORE_HPP
 
+#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,6 +67,7 @@ class OooCore
     reset()
     {
         icache_.clear();
+        icache_slots_.fill(nullptr);
         for (FuPool *p : {&alu_, &mul_, &div_, &fpu_, &fpdiv_,
                           &memport_})
             for (BusyCalendar &u : p->units)
@@ -86,13 +88,16 @@ class OooCore
 
         explicit FuPool(unsigned n) : units(n) {}
 
-        /** Acquire the unit giving the earliest grant >= @p when. */
+        /** Acquire the unit giving the earliest grant >= @p when (the
+         *  lowest-numbered on a tie, so a unit free at @p when ends
+         *  the search). */
         Cycle
         acquire(Cycle when, Cycle occupancy)
         {
             size_t best = 0;
             Cycle best_grant = units[0].probe(when, occupancy);
-            for (size_t i = 1; i < units.size(); ++i) {
+            for (size_t i = 1; i < units.size() && best_grant != when;
+                 ++i) {
                 const Cycle g = units[i].probe(when, occupancy);
                 if (g < best_grant) {
                     best_grant = g;
@@ -140,6 +145,10 @@ class OooCore
     StatCounter st_ras_lookups_{stats_, "ras_lookups"};
     StatCounter st_commits_{stats_, "commits"};
     std::unordered_map<Addr, isa::DecodedInst> icache_;
+    /** Direct-mapped pointers into icache_ by word address (nodes
+     *  never move); a slot is checked against the entry's pc. */
+    std::array<const std::pair<const Addr, isa::DecodedInst> *, 1024>
+        icache_slots_{};
     FuPool alu_, mul_, div_, fpu_, fpdiv_, memport_;
     const host::CancelToken *cancel_ = nullptr; //!< null = no watchdog
 };

@@ -102,44 +102,55 @@ class GranuleSummary
     bool
     mayOverlap(Addr addr, u8 size) const
     {
-        const Addr last = lastGranule(addr, size);
-        for (Addr g = addr >> kGranuleShift;; ++g) {
-            if (count_[slot(g)] != 0)
+        const unsigned n = span(addr, size);
+        for (unsigned k = 0; k < n; ++k)
+            if (count_[slot(granule(addr, k))] != 0)
                 return true;
-            if (g == last)
-                return false;
-        }
+        return false;
     }
 
     void clear() { count_.fill(0); }
 
-  private:
     static constexpr unsigned kGranuleShift = 2;
-    static constexpr unsigned kSlotBits = 8;
 
-    static Addr
-    lastGranule(Addr addr, u8 size)
-    {
-        return (addr + (size ? size - 1u : 0u)) >> kGranuleShift;
-    }
-
-    /** Fibonacci hash: consecutive granules of one array spread out,
-     *  and arrays a power of two apart do not collide granule by
-     *  granule. */
+    /** Table slot of granule @p granule (addr >> kGranuleShift).
+     *  Fibonacci hashing: consecutive granules of one array spread
+     *  out, and arrays a power of two apart do not collide granule by
+     *  granule. Public so tests can build aliasing addresses. */
     static size_t
     slot(Addr granule)
     {
         return (granule * 0x9e3779b1u) >> (32 - kSlotBits);
     }
 
+  private:
+    static constexpr unsigned kSlotBits = 8;
+
+    /** Granules [addr, addr + max(size, 1)) touches, counted modulo
+     *  the 2^32 address space (a range may wrap past the top). */
+    static unsigned
+    span(Addr addr, u8 size)
+    {
+        const Addr last = addr + (size ? size - 1u : 0u);
+        return (((last >> kGranuleShift) - (addr >> kGranuleShift)) &
+                (~Addr{0} >> kGranuleShift)) +
+               1;
+    }
+
+    /** The @p k-th granule of the range starting at @p addr. */
+    static Addr
+    granule(Addr addr, unsigned k)
+    {
+        return ((addr >> kGranuleShift) + k) & (~Addr{0} >> kGranuleShift);
+    }
+
     void
     update(Addr addr, u8 size, int delta)
     {
-        const Addr last = lastGranule(addr, size);
-        for (Addr g = addr >> kGranuleShift;; ++g) {
-            count_[slot(g)] = static_cast<u16>(count_[slot(g)] + delta);
-            if (g == last)
-                break;
+        const unsigned n = span(addr, size);
+        for (unsigned k = 0; k < n; ++k) {
+            u16 &c = count_[slot(granule(addr, k))];
+            c = static_cast<u16>(c + delta);
         }
     }
 

@@ -5,6 +5,7 @@
 #include "asm/assembler.hpp"
 #include "diag/activation.hpp"
 #include "isa/decoder.hpp"
+#include "isa/latency.hpp"
 
 using namespace diag;
 using namespace diag::core;
@@ -318,4 +319,49 @@ TEST(Activation, JalLinksAndRedirects)
     EXPECT_EQ(out.exit, ActExit::Redirect);
     EXPECT_EQ(out.exit_pc, 0x2000u);
     EXPECT_EQ(rig.regs[1].value, 0x1004u);
+}
+
+TEST(Activation, LoweredSlotsAgreeWithDecodedPredicates)
+{
+    // Every opcode, with and without a destination and with a negative
+    // and a positive immediate, lowered at three segment sizes: each
+    // slot record must say what the DecodedInst predicates say.
+    for (unsigned o = 0; o <= static_cast<unsigned>(Op::INVALID); ++o) {
+        const Op op = static_cast<Op>(o);
+        SCOPED_TRACE(opName(op));
+        std::vector<DecodedInst> insts(16);
+        for (unsigned i = 0; i < insts.size(); ++i) {
+            insts[i].op = op;
+            insts[i].rd = i % 2 ? RegId{5} : kNoReg;
+            insts[i].imm = i % 3 ? 4 : -4;
+        }
+        for (const unsigned seg_size : {1u, 4u, 8u}) {
+            const LoweredLine line = lowerLine(insts, seg_size);
+            ASSERT_EQ(line.insts.size(), insts.size());
+            ASSERT_EQ(line.slots.size(), insts.size());
+            EXPECT_EQ(line.has_backward_branch, hasBackwardBranch(insts));
+            for (unsigned i = 0; i < insts.size(); ++i) {
+                const DecodedInst &di = insts[i];
+                const SlotInfo &si = line.slots[i];
+                EXPECT_EQ(line.insts[i].raw, di.raw);
+                EXPECT_EQ(si.seg, i / seg_size);
+                EXPECT_EQ(si.cls, di.cls());
+                EXPECT_EQ(si.latency, execLatency(di));
+                EXPECT_EQ(si.mem_bytes, di.info().memBytes);
+                EXPECT_EQ(si.has(SlotInfo::kValid), di.valid());
+                EXPECT_EQ(si.has(SlotInfo::kLoad), di.isLoad());
+                EXPECT_EQ(si.has(SlotInfo::kStore), di.isStore());
+                EXPECT_EQ(si.has(SlotInfo::kFp), di.isFp());
+                EXPECT_EQ(si.has(SlotInfo::kWritesReg), di.writesReg());
+                EXPECT_EQ(si.has(SlotInfo::kBackBranch),
+                          di.isBranch() && di.imm < 0);
+                EXPECT_EQ(si.has(SlotInfo::kSimtS), op == Op::SIMT_S);
+                EXPECT_EQ(si.has(SlotInfo::kSimtE), op == Op::SIMT_E);
+                EXPECT_EQ(si.has(SlotInfo::kUnpipelined),
+                          di.cls() == ExecClass::IntDiv ||
+                              di.cls() == ExecClass::FpDiv ||
+                              di.cls() == ExecClass::FpSqrt);
+            }
+        }
+    }
 }

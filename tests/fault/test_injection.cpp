@@ -341,3 +341,38 @@ TEST(FaultInjection, LaneCampaignHasNoUndetectedSdc)
     // Every lane flip on a live window should actually fire.
     EXPECT_GT(rep.total.fired, 0u);
 }
+
+TEST(FaultInjection, MemLaneFlipChangesALaterForward)
+{
+    // A memory-lane CAM address flip moves the store the window
+    // forwards from: a later load of the original address misses the
+    // lanes, and one of the corrupted address forwards. The occupancy
+    // summary that lets forwardProbe skip its scan must follow the
+    // flipped entry, or the second load would miss as well.
+    const DiagConfig cfg = DiagConfig::f4c2();
+    StatGroup stats{"t"};
+    mem::MemHierarchy mh{cfg.mem, 1, stats};
+    SparseMemory mem;
+    sim::StoreTracker lanes(mem, cfg.mem_lane_entries);
+    lanes.recordStore(0x100040, 4, 3, 7);
+    lanes.recordStore(0x100080, 4, 4, 8);
+    ASSERT_EQ(lanes.forwardProbe(0x100040, 4), 7u);
+    ASSERT_EQ(lanes.forwardProbe(0x100840, 4), kNeverCycle);
+
+    FaultPlan plan;
+    FaultEvent ev;
+    ev.site = FaultSite::MemLaneEntry;
+    ev.pick = 2;  // entry 0 of two: the store to 0x100040
+    ev.bit = 11;
+    plan.events.push_back(ev);
+    FaultController fc(std::move(plan), DetectConfig{});
+    LaneFile regs{};
+    fc.onBoundary(regs, lanes, mem, mh, 0);
+
+    ASSERT_TRUE(fc.eventLog()[0].fired);
+    EXPECT_EQ(fc.eventLog()[0].note,
+              "mem-lane entry 0 addr bit 11 flipped (now 0x100840)");
+    EXPECT_EQ(lanes.forwardProbe(0x100040, 4), kNeverCycle);
+    EXPECT_EQ(lanes.forwardProbe(0x100840, 4), 7u);
+    EXPECT_EQ(lanes.forwardProbe(0x100080, 4), 8u);
+}

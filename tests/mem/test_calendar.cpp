@@ -1,6 +1,6 @@
 /** BusyCalendar tests: order-tolerant reservations, gap filling,
  *  probe/reserve agreement, capacity bounding, and a differential
- *  check of the binary-search calendar against a linear-scan one. */
+ *  check of the galloping calendar search against a linear scan. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,7 +169,10 @@ TEST(Calendar, MatchesLinearScanReference)
 {
     // 3 capacities x 40k seeded calls: arrival times jump backwards as
     // well as forwards (out-of-order processing of threads), repeat
-    // exactly, and a fifth of the requests occupy zero cycles.
+    // exactly, and a fifth of the requests occupy zero cycles. Two
+    // pools aim at the search's gallop from the newest reservation:
+    // requests a few cycles behind the latest reserved end, and ones
+    // far behind it, past the entries the capacity already dropped.
     std::mt19937_64 rng(0xCA1E7DA5u);
     size_t calls = 0;
     for (size_t cap : {size_t{1}, size_t{4}, size_t{96}}) {
@@ -178,22 +181,32 @@ TEST(Calendar, MatchesLinearScanReference)
         LinearCalendar ref(cap);
         Cycle base = 0;
         Cycle last = 0;
+        Cycle frontier = 0;  // latest end reserved so far
         for (int n = 0; n < 40000; ++n, ++calls) {
             base += rng() % 3;
             Cycle now;
-            switch (rng() % 4) {
+            switch (rng() % 6) {
               case 0: now = last; break;  // repeated timestamp
               case 1: now = base + rng() % 64; break;
               case 2: now = base > 200 ? base - rng() % 200 : 0; break;
+              case 3:  // near the newest reservation
+                now = frontier > 24 ? frontier - rng() % 24 : 0;
+                break;
+              case 4:  // far behind it
+                now = frontier > 3000 ? frontier - 1000 - rng() % 2000
+                                      : 0;
+                break;
               default: now = base + rng() % 8; break;
             }
             last = now;
             const Cycle occ = rng() % 5 == 0 ? 0 : 1 + rng() % 12;
             switch (rng() % 3) {
-              case 0:
-                ASSERT_EQ(cal.reserve(now, occ), ref.reserve(now, occ))
-                    << "call " << n;
+              case 0: {
+                const Cycle grant = ref.reserve(now, occ);
+                ASSERT_EQ(cal.reserve(now, occ), grant) << "call " << n;
+                frontier = std::max(frontier, grant + occ);
                 break;
+              }
               case 1:
                 ASSERT_EQ(cal.probe(now, occ), ref.probe(now, occ))
                     << "call " << n;

@@ -1,10 +1,13 @@
 /** SparseMemory edge cases: page-straddling accesses, zero-fill
  *  read-before-write, huge-address sparsity, and deep-copy isolation
- *  (the fault campaign's checkpoint/compare paths lean on all four). */
+ *  (the fault campaign's checkpoint/compare paths lean on all four),
+ *  plus the page-pointer cache: aliasing slots, invalidation on clear,
+ *  copy and move, and concurrent const readers. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/sparse_mem.hpp"
@@ -190,4 +193,134 @@ TEST(SparseMemory, ReadingAnAbsentPageAllocatesNothing)
         EXPECT_EQ(std::count(buf, buf + sizeof(buf), 0), 16);
     }
     EXPECT_EQ(mem.numPages(), 1u);
+}
+
+namespace
+{
+
+/** Base addresses of @p n distinct pages that share one cache slot. */
+std::vector<Addr>
+aliasingPages(size_t n)
+{
+    std::vector<Addr> pages;
+    const size_t slot = SparseMemory::cacheSlot(0x100000);
+    for (Addr a = 0x100000; pages.size() < n; a += SparseMemory::kPageSize)
+        if (SparseMemory::cacheSlot(a) == slot)
+            pages.push_back(a);
+    return pages;
+}
+
+} // namespace
+
+TEST(SparseMemory, PagesAliasingOneCacheSlotKeepTheirOwnBytes)
+{
+    const std::vector<Addr> pages = aliasingPages(4);
+    SparseMemory mem;
+    std::vector<u32> want(pages.size());
+    for (size_t i = 0; i < pages.size(); ++i) {
+        want[i] = 0x1000u + static_cast<u32>(i);
+        mem.write32(pages[i] + 8, want[i]);
+    }
+    // Alternate between the aliases so every access evicts the slot's
+    // previous page, reading and writing.
+    for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < pages.size(); ++i) {
+            EXPECT_EQ(mem.read32(pages[i] + 8), want[i]) << i;
+            want[i] += 0x100;
+            mem.write32(pages[i] + 8, want[i]);
+            const size_t j = (i + 1) % pages.size();
+            EXPECT_EQ(mem.read32(pages[j] + 8), want[j]) << j;
+        }
+    }
+    EXPECT_EQ(mem.numPages(), pages.size());
+    // An absent alias reads zero and is not materialized.
+    const Addr absent = aliasingPages(5).back();
+    EXPECT_EQ(mem.read32(absent), 0u);
+    EXPECT_EQ(mem.numPages(), pages.size());
+}
+
+TEST(SparseMemory, ClearDropsCachedPages)
+{
+    SparseMemory mem;
+    mem.write32(0x2000, 7);
+    EXPECT_EQ(mem.read32(0x2000), 7u);  // page now cached
+    mem.clear();
+    EXPECT_EQ(mem.read32(0x2000), 0u);
+    EXPECT_EQ(mem.numPages(), 0u);
+    mem.write32(0x2000, 9);
+    EXPECT_EQ(mem.read32(0x2000), 9u);
+    EXPECT_EQ(mem.numPages(), 1u);
+}
+
+TEST(SparseMemory, CopiesAndMovesDoNotShareCachedPages)
+{
+    SparseMemory a;
+    a.write32(0x3000, 1);
+    a.write32(0x4000, 2);
+    ASSERT_EQ(a.read32(0x3000), 1u);  // both pages cached in a
+    ASSERT_EQ(a.read32(0x4000), 2u);
+
+    SparseMemory b;
+    b.write32(0x3000, 99);  // b caches its own page 3 ...
+    b = a;                  // ... which the copy replaces
+    EXPECT_EQ(b.read32(0x3000), 1u);
+    b.write32(0x3000, 10);  // a write through one copy ...
+    a.write32(0x4000, 20);
+    EXPECT_EQ(a.read32(0x3000), 1u);  // ... the other does not see
+    EXPECT_EQ(b.read32(0x4000), 2u);
+
+    SparseMemory c(a);
+    c.write32(0x3000, 30);
+    EXPECT_EQ(a.read32(0x3000), 1u);
+
+    SparseMemory d(std::move(a));
+    EXPECT_EQ(d.read32(0x3000), 1u);
+    EXPECT_EQ(d.read32(0x4000), 20u);
+    // The moved-from image is empty, and writing it leaves d alone.
+    EXPECT_EQ(a.numPages(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.read32(0x3000), 0u);
+    a.write32(0x3000, 5);
+    EXPECT_EQ(d.read32(0x3000), 1u);
+
+    SparseMemory e;
+    e.write32(0x3000, 77);
+    ASSERT_EQ(e.read32(0x3000), 77u);
+    e = std::move(d);
+    EXPECT_EQ(e.read32(0x3000), 1u);
+    EXPECT_EQ(d.read32(0x4000), 0u);  // NOLINT(bugprone-use-after-move)
+    d.write32(0x4000, 6);
+    EXPECT_EQ(e.read32(0x4000), 20u);
+}
+
+TEST(SparseMemory, ConcurrentConstReadersAgree)
+{
+    // Two threads read one shared const image through the page cache,
+    // in opposite orders over more pages than it has slots, so they
+    // keep refilling the same slots under each other. Run under TSan
+    // in CI: the slot refills must not race.
+    SparseMemory image;
+    const unsigned pages = 4 * SparseMemory::kCacheSlots;
+    for (unsigned p = 0; p < pages; ++p)
+        image.write32(0x100000 + p * SparseMemory::kPageSize + 4 * (p % 8),
+                      0xabc00000u + p);
+    const SparseMemory &shared = image;
+    auto reader = [&shared, pages](bool forward, unsigned &wrong) {
+        for (int round = 0; round < 20; ++round)
+            for (unsigned k = 0; k < pages; ++k) {
+                const unsigned p = forward ? k : pages - 1 - k;
+                const Addr a =
+                    0x100000 + p * SparseMemory::kPageSize + 4 * (p % 8);
+                wrong += shared.read32(a) != 0xabc00000u + p;
+                wrong += shared.read32(a + 4) != 0;
+            }
+    };
+    unsigned wrong_fwd = 0;
+    unsigned wrong_back = 0;
+    std::thread t1(reader, true, std::ref(wrong_fwd));
+    std::thread t2(reader, false, std::ref(wrong_back));
+    t1.join();
+    t2.join();
+    EXPECT_EQ(wrong_fwd, 0u);
+    EXPECT_EQ(wrong_back, 0u);
+    EXPECT_EQ(image.numPages(), pages);
 }
