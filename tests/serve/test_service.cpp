@@ -167,7 +167,7 @@ TEST(SimService, DeadlineExpiryClassifiesExpired)
     q.id = 1;
     q.workload = "bfs";
     q.config = "F4C16";
-    q.deadline_ms = 5; // far below the run's real duration
+    q.deadline_ms = 1; // far below the run's real duration
     const SimResponse r = svc.submit(q).result.get();
     EXPECT_EQ(r.status, RespStatus::Expired);
     EXPECT_EQ(r.fail, FailKind::Timeout);
