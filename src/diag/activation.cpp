@@ -46,7 +46,7 @@ lowerLine(std::vector<DecodedInst> insts, unsigned segment_size)
         set(di.isStore(), SlotInfo::kStore);
         set(di.isFp(), SlotInfo::kFp);
         set(di.writesReg(), SlotInfo::kWritesReg);
-        set(di.isBranch() && di.imm < 0, SlotInfo::kBackBranch);
+        set(di.isBranch() && di.imm < 0, SlotInfo::kBackCondBranch);
         set(di.op == Op::SIMT_S, SlotInfo::kSimtS);
         set(di.op == Op::SIMT_E, SlotInfo::kSimtE);
         set(si.cls == ExecClass::IntDiv || si.cls == ExecClass::FpDiv ||
@@ -159,12 +159,9 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
 {
     Cluster &cl = *in.cluster;
     panic_if(!cl.loaded(), "activation on unloaded cluster %u", cl.index);
-    panic_if(cl.slots.size() != cl.insts.size(),
-             "cluster %u line 0x%x was not lowered", cl.index,
-             cl.line_base);
     const Addr base = cl.line_base;
-    const unsigned n = static_cast<unsigned>(cl.insts.size());
-    const int last_seg = cl.slots.back().seg;
+    const unsigned n = static_cast<unsigned>(cl.code.insts.size());
+    const int last_seg = cl.code.slots.back().seg;
 
     panic_if(in.entry_pc < base || in.entry_pc >= base + line_bytes_ ||
                  (in.entry_pc & 3),
@@ -239,8 +236,8 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 i = static_cast<unsigned>((expect - base) / 4) - 1;
             continue;
         }
-        const DecodedInst &di = cl.insts[i];
-        const SlotInfo &si = cl.slots[i];
+        const DecodedInst &di = cl.code.insts[i];
+        const SlotInfo &si = cl.code.slots[i];
         const int seg = si.seg;
 
         if (!si.has(SlotInfo::kValid)) {
@@ -418,7 +415,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             finish(ActExit::ThreadEnd, addr + 4, pc_leave);
             break;
         }
-        if (si.has(SlotInfo::kBackBranch) && !redirect) {
+        if (si.has(SlotInfo::kBackCondBranch) && !redirect) {
             // Loop exit: a backward branch is predicted taken under
             // datapath reuse, so falling through is a misprediction —
             // downstream PEs were held off and must be re-steered.

@@ -33,7 +33,7 @@ struct SlotInfo
         kStore = 1u << 2,
         kFp = 1u << 3,           //!< uses the FPU
         kWritesReg = 1u << 4,
-        kBackBranch = 1u << 5,   //!< conditional branch, imm < 0
+        kBackCondBranch = 1u << 5, //!< conditional branch, imm < 0
         kSimtS = 1u << 6,
         kSimtE = 1u << 7,
         kUnpipelined = 1u << 8,  //!< divide / square-root unit
@@ -54,7 +54,9 @@ struct LoweredLine
 {
     std::vector<isa::DecodedInst> insts;  //!< one per PE slot
     std::vector<SlotInfo> slots;          //!< lowered from insts
-    /** A backward branch or JAL: a loop may re-enter the line. */
+    /** A backward branch or JAL: a loop may re-enter the line. The
+     *  control unit's prefetch decision reads this instead of
+     *  rescanning the (unchanged) line on every activation. */
     bool has_backward_branch = false;
 };
 
@@ -80,25 +82,9 @@ struct Cluster
     Cycle ready_at = 0;       //!< fetch + decode complete
     Cycle free_at = 0;        //!< previous activation fully retired
     u64 last_use = 0;         //!< LRU stamp for victim selection
-    std::vector<isa::DecodedInst> insts;  //!< decoded line contents
-
-    // ---- skip-idle kernel metadata (DESIGN.md §15) ----
-    /** Per-slot records lowered from insts (SlotInfo). */
-    std::vector<SlotInfo> slots;
-    /** Line contains a backward branch / backward JAL. Derived from
-     *  insts at load time so the control unit's prefetch decision does
-     *  not rescan the (unchanged) line on every activation. */
-    bool has_backward_branch = false;
-
-    /** Install the decoded contents of the line at @p base. */
-    void
-    assign(Addr base, const LoweredLine &line)
-    {
-        line_base = base;
-        insts = line.insts;
-        slots = line.slots;
-        has_backward_branch = line.has_backward_branch;
-    }
+    /** Decoded line contents with their skip-idle slot records
+     *  (DESIGN.md §15); empty when no line is loaded. */
+    LoweredLine code;
 
     // ---- cluster-level LSU (paper §5.2) ----
     /** Small set-associative line buffer ("set-associative register
@@ -191,9 +177,7 @@ struct Cluster
     evict()
     {
         line_base = kNoLine;
-        insts.clear();
-        slots.clear();
-        has_backward_branch = false;
+        code = {};
     }
 
     /** Reset all state between runs. */

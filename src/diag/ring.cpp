@@ -188,7 +188,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
         // decode instead of once per activation.
         dl.lowered = lowerLine(std::move(insts), cfg_.segment_size);
     }
-    cl.assign(line, dl.lowered);
+    cl.line_base = line;
+    cl.code = dl.lowered;
     st_iline_fetches_.inc();
     st_decodes_.inc(cfg_.pes_per_cluster);
     return ready;
@@ -427,8 +428,8 @@ Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
         // own lines in small rings, defeating reuse). The dense escape
         // hatch rescans the (unchanged) line the way the pre-skip-idle
         // control unit did: same answer as the cached flag.
-        if (!(cfg_.dense_loop ? hasBackwardBranch(cl.insts)
-                              : cl.has_backward_branch))
+        if (!(cfg_.dense_loop ? hasBackwardBranch(cl.code.insts)
+                              : cl.code.has_backward_branch))
             prefetch(line + line_bytes_, in.min_start, mem);
 
         const ActivationOutput act = engine_.run(in, regs, tmc);

@@ -39,7 +39,8 @@ struct Rig
         for (unsigned i = 0; i < cfg.pes_per_cluster; ++i)
             insts.push_back(decode(mem.read32(0x1000 + 4 * i)));
         // The lowering Ring::loadLine applies to every line it loads.
-        cl.assign(0x1000, lowerLine(std::move(insts), cfg.segment_size));
+        cl.line_base = 0x1000;
+        cl.code = lowerLine(std::move(insts), cfg.segment_size);
     }
 
     ActivationOutput
@@ -353,7 +354,7 @@ TEST(Activation, LoweredSlotsAgreeWithDecodedPredicates)
                 EXPECT_EQ(si.has(SlotInfo::kStore), di.isStore());
                 EXPECT_EQ(si.has(SlotInfo::kFp), di.isFp());
                 EXPECT_EQ(si.has(SlotInfo::kWritesReg), di.writesReg());
-                EXPECT_EQ(si.has(SlotInfo::kBackBranch),
+                EXPECT_EQ(si.has(SlotInfo::kBackCondBranch),
                           di.isBranch() && di.imm < 0);
                 EXPECT_EQ(si.has(SlotInfo::kSimtS), op == Op::SIMT_S);
                 EXPECT_EQ(si.has(SlotInfo::kSimtE), op == Op::SIMT_E);
