@@ -24,14 +24,10 @@ OooCore::OooCore(const OooConfig &cfg, unsigned core_id,
 const DecodedInst &
 OooCore::decodeAt(Addr pc, SparseMemory &mem)
 {
-    auto &slot = icache_slots_[(pc >> 2) % icache_slots_.size()];
-    if (slot && slot->first == pc)
-        return slot->second;
     auto it = icache_.find(pc);
-    if (it == icache_.end())
-        it = icache_.emplace(pc, decode(mem.read32(pc))).first;
-    slot = &*it;
-    return it->second;
+    if (it != icache_.end())
+        return it->second;
+    return icache_.emplace(pc, decode(mem.read32(pc))).first->second;
 }
 
 OooCore::FuPool &

@@ -11,7 +11,6 @@
 #ifndef DIAG_OOO_CORE_HPP
 #define DIAG_OOO_CORE_HPP
 
-#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,7 +66,6 @@ class OooCore
     reset()
     {
         icache_.clear();
-        icache_slots_.fill(nullptr);
         for (FuPool *p : {&alu_, &mul_, &div_, &fpu_, &fpdiv_,
                           &memport_})
             for (BusyCalendar &u : p->units)
@@ -145,10 +143,6 @@ class OooCore
     StatCounter st_ras_lookups_{stats_, "ras_lookups"};
     StatCounter st_commits_{stats_, "commits"};
     std::unordered_map<Addr, isa::DecodedInst> icache_;
-    /** Direct-mapped pointers into icache_ by word address (nodes
-     *  never move); a slot is checked against the entry's pc. */
-    std::array<const std::pair<const Addr, isa::DecodedInst> *, 1024>
-        icache_slots_{};
     FuPool alu_, mul_, div_, fpu_, fpdiv_, memport_;
     const host::CancelToken *cancel_ = nullptr; //!< null = no watchdog
 };
